@@ -5,6 +5,7 @@
 
 #include <deque>
 #include <mutex>
+#include <span>
 #include <thread>
 
 #include "concurrent/mpmc_queue.hpp"
@@ -99,11 +100,18 @@ void BM_MutexContended(benchmark::State& state) {
 BENCHMARK(BM_MutexContended)->Threads(2)->Threads(4)->UseRealTime()->Iterations(500'000);
 
 void BM_ShuffleQueueAdd(benchmark::State& state) {
-  ShuffleQueue queue(static_cast<int>(state.range(0)),
-                     std::chrono::milliseconds(10'000));
+  std::uint64_t released = 0;
+  ShuffleQueue<int> queue(static_cast<int>(state.range(0)),
+                          std::chrono::milliseconds(10'000),
+                          [&released](std::span<int> batch, const FlushInfo&) {
+                            released += batch.size();
+                          });
+  int i = 0;
   for (auto _ : state) {
-    queue.add([] {});
+    queue.add(i++);
   }
+  queue.flush_now();
+  benchmark::DoNotOptimize(released);
 }
 BENCHMARK(BM_ShuffleQueueAdd)->Arg(0)->Arg(5)->Arg(10);
 

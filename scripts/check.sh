@@ -22,7 +22,7 @@
 #   scripts/check.sh --quick   # lint + compile-fail + fixtures + ASan smoke
 #   scripts/check.sh --model   # pprox_check interleaving exploration only:
 #                              # normal build (models must pass) + selftest
-#                              # fault-injection build (models must fail)
+#                              # build on pre-fix variants (models must fail)
 #   scripts/check.sh --bench   # regression gate: run bench_crypto /
 #                              # bench_pipeline, compare against the
 #                              # committed BENCH_*.json via bench_report.py
@@ -210,9 +210,10 @@ if [[ "$MODE" == "--model" ]]; then
   #                         five pprox_check models (shuffle, mpmc, pool,
   #                         rotation, lockorder) run bounded-exhaustive DFS
   #                         and fixed-seed PCT and must all PASS.
-  #   build-model-selftest  additionally compiles the pre-fix bugs back in
-  #                         (-DPPROX_CHECK_SELFTEST). Every model test is
-  #                         WILL_FAIL: ctest passes only if pprox_check
+  #   build-model-selftest  -DPPROX_CHECK_SELFTEST runs every model on its
+  #                         pre-fix subject (pprox_check's own variants;
+  #                         the libraries are unchanged). Every model test
+  #                         is WILL_FAIL: ctest passes only if pprox_check
   #                         still FINDS every seeded bug. A green selftest
   #                         proves the checker, not the code.
   step "model: exhaustive + PCT exploration (bugs must be absent)"
@@ -222,7 +223,7 @@ if [[ "$MODE" == "--model" ]]; then
   ctest --test-dir "$ROOT/build-model" -R '^model_' \
         --output-on-failure -j "$JOBS"
 
-  step "model selftest: fault injection (bugs must be FOUND)"
+  step "model selftest: pre-fix variants (bugs must be FOUND)"
   cmake -B "$ROOT/build-model-selftest" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
         -DPPROX_CHECK_SELFTEST=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$ROOT/build-model-selftest" -j "$JOBS" --target pprox_check
@@ -292,15 +293,13 @@ configure_and_build build-asan "address;undefined"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS"
 
 # Lifetime selftest cross-validation (DESIGN.md §14.6): compile the known
-# dangling-view variant back in (-DPPROX_CHECK_SELFTEST, which requires the
-# model-check scheduler) under ASan, and require BOTH detectors to fire —
-# lifetime_selftest_static (pprox_lint --lifetime, WILL_FAIL) and
-# lifetime_selftest_dynamic (heap-use-after-free, WILL_FAIL). A pass here
-# proves the analyzer and the sanitizer still pin each other. Only the two
-# standalone binaries are built: the fault-injected library tree is not
-# linked, so the seeded pprox_check bugs stay out of this stage.
+# dangling-view variant back in (-DPPROX_CHECK_SELFTEST) under ASan, and
+# require BOTH detectors to fire — lifetime_selftest_static (pprox_lint
+# --lifetime, WILL_FAIL) and lifetime_selftest_dynamic (heap-use-after-free,
+# WILL_FAIL). A pass here proves the analyzer and the sanitizer still pin
+# each other. Only the two standalone binaries are built.
 step "lifetime selftest: dangling view must be caught by lint AND ASan"
-cmake -B "$ROOT/build-lifetime-selftest" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
+cmake -B "$ROOT/build-lifetime-selftest" -S "$ROOT" \
       -DPPROX_CHECK_SELFTEST=ON -DPPROX_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$ROOT/build-lifetime-selftest" -j "$JOBS" \

@@ -35,9 +35,6 @@ struct Error {
   static Error internal(std::string msg) { return {Code::kInternal, std::move(msg)}; }
 };
 
-/// Returns a short name for an error code, for logs and HTTP mapping.
-const char* to_string(Error::Code code);
-
 /// Minimal expected-like result. `value()` throws std::runtime_error when
 /// called on an error result — use `ok()` first on untrusted paths.
 template <typename T>

@@ -44,23 +44,6 @@ class MpmcQueue {
   bool try_push(const T& value) { return push_impl(value); }
 
   /// Attempts to dequeue; nullopt when the queue is empty.
-#ifdef PPROX_CHECK_SELFTEST
-  // Fault injection for pprox_check --model mpmc (tools/CMakeLists.txt): a
-  // broken dequeue that claims a slot with fetch_add BEFORE checking its
-  // sequence. A pop racing an in-flight push burns the slot and returns
-  // empty, so the pushed element is skipped forever — the history is not
-  // linearizable against the FIFO spec and the selftest build must FAIL.
-  std::optional<T> try_pop() {
-    const std::size_t pos = head_.fetch_add(1, std::memory_order_relaxed);
-    Cell* cell = &cells_[pos & mask_];
-    const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-    if (seq != pos + 1) return std::nullopt;  // slot already consumed: lost
-    T value = std::move(cell->value);
-    cell->value = T();
-    cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
-    return value;
-  }
-#else
   std::optional<T> try_pop() {
     Cell* cell;
     std::size_t pos = head_.load(std::memory_order_relaxed);
@@ -85,7 +68,6 @@ class MpmcQueue {
     cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
     return value;
   }
-#endif  // PPROX_CHECK_SELFTEST
 
   /// Approximate size; exact only when quiescent.
   std::size_t approx_size() const {

@@ -33,30 +33,6 @@ class ThreadPool {
   /// Enqueues a task; spins briefly then sleeps when the queue is full.
   /// Returns false after shutdown() (task is dropped). Every task accepted
   /// (true returned) is guaranteed to execute before shutdown() completes.
-#ifdef PPROX_CHECK_SELFTEST
-  // Fault injection for pprox_check --model pool (tools/CMakeLists.txt):
-  // the pre-fix submit/shutdown pair, preserved verbatim. A submit() here
-  // can pass its stopping_ check, lose the CPU, and publish its task after
-  // shutdown() joined every worker — the task is accepted but never runs
-  // (tools/traces/pool_lost_task.txt). The selftest build must make the
-  // model FAIL on exactly this schedule.
-  bool submit(std::function<void()> task) {
-    while (!stopping_.load(std::memory_order_acquire)) {
-      pending_.fetch_add(1, std::memory_order_acq_rel);
-      if (queue_.try_push(std::move(task))) {
-        LockGuard lock(mutex_);
-        cv_.notify_one();
-        return true;
-      }
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        LockGuard lock(mutex_);
-        drained_cv_.notify_all();
-      }
-      std::this_thread::yield();
-    }
-    return false;
-  }
-#else
   bool submit(std::function<void()> task) {
     // The in-flight gate lets shutdown() tell "no submit will ever publish
     // again" apart from "no submit is publishing right now": a submit that
@@ -90,7 +66,6 @@ class ThreadPool {
     }
     return pushed;
   }
-#endif
 
   /// Blocks until every submitted task has finished executing.
   void drain() {
@@ -101,19 +76,6 @@ class ThreadPool {
   }
 
   /// Stops accepting tasks, finishes queued work, joins all workers.
-#ifdef PPROX_CHECK_SELFTEST
-  void shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
-    {
-      LockGuard lock(mutex_);
-      cv_.notify_all();
-    }
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-  }
-#else
   void shutdown() {
     bool expected = false;
     if (!stopping_.compare_exchange_strong(expected, true)) return;
@@ -142,7 +104,6 @@ class ThreadPool {
       }
     }
   }
-#endif
 
   std::size_t num_threads() const { return workers_.size(); }
 

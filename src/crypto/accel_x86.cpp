@@ -112,7 +112,7 @@ void aesni_decrypt_blocks(const std::uint8_t* rk, int rounds,
                           std::size_t nblocks) {
   // AESDEC implements the equivalent inverse cipher: middle round keys must
   // pass through InvMixColumns (AESIMC), and the schedule reverses.
-  __m128i keys[kMaxRounds + 1];
+  __m128i keys[kMaxRounds + 1]{};
   load_keys(rk, rounds, keys);
   __m128i dkeys[kMaxRounds + 1];
   dkeys[0] = keys[rounds];

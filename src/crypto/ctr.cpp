@@ -93,10 +93,9 @@ RandomIvCipher::RandomIvCipher(ByteView key) : aes_(key) {
 Bytes RandomIvCipher::encrypt(ByteView plaintext, RandomSource& rng) const {
   std::array<std::uint8_t, 16> iv;
   rng.fill(MutByteView(iv.data(), iv.size()));
-  Bytes out;
-  out.reserve(16 + plaintext.size());
-  out.insert(out.end(), iv.begin(), iv.end());
-  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  Bytes out(iv.size() + plaintext.size());
+  std::copy(iv.begin(), iv.end(), out.begin());
+  std::copy(plaintext.begin(), plaintext.end(), out.begin() + 16);
   ctr_crypt_inplace(aes_, iv, MutByteView(out.data() + 16, plaintext.size()));
   return out;
 }

@@ -7,9 +7,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-
-#include "common/logging.hpp"
 
 namespace pprox::net {
 namespace {
@@ -68,7 +67,8 @@ void TcpServer::loop() {
     const int n = ::epoll_wait(epoll_fd_.get(), events, 64, 100);
     if (n < 0) {
       if (errno == EINTR) continue;
-      LOG_ERROR("TcpServer: epoll_wait failed: " << std::strerror(errno));
+      std::fprintf(stderr, "[ERROR] TcpServer: epoll_wait failed: %s\n",
+                   std::strerror(errno));
       return;
     }
     for (int i = 0; i < n; ++i) {
@@ -215,7 +215,8 @@ void TcpServer::on_writable(std::uint64_t conn_id) {
 
 void TcpServer::update_epoll(std::uint64_t conn_id, Connection& conn) {
   epoll_event ev{};
-  ev.events = EPOLLIN | (conn.unsent() == 0 ? 0 : EPOLLOUT);
+  ev.events = EPOLLIN;
+  if (conn.unsent() != 0) ev.events |= EPOLLOUT;
   ev.data.u64 = conn_id;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_MOD, conn.fd.get(), &ev);
 }

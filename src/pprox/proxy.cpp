@@ -1,8 +1,6 @@
 // PPROX-LAYER: shared
 #include "pprox/proxy.hpp"
 
-#include "common/logging.hpp"
-
 namespace pprox {
 
 std::uint64_t PendingStore::put(Bytes k_u) {
@@ -34,23 +32,23 @@ ProxyServer::ProxyServer(ProxyOptions options, enclave::Enclave& enclave,
       enclave_(&enclave),
       next_(std::move(next)),
       workers_(options.worker_threads),
-      // Both layers batch their inbound requests now: the per-flush ecall
-      // amortizes the transition cost for the IA exactly as for the UA.
-      request_shuffle_(options.shuffle_size, options.shuffle_timeout),
+      // Both layers batch their inbound requests: the per-flush ecall
+      // amortizes the transition cost for the IA exactly as for the UA. The
+      // whole shuffled batch crosses the enclave boundary as ONE ecall
+      // inside these sinks.
+      request_shuffle_(options.shuffle_size, options.shuffle_timeout,
+                       [this](std::span<PendingRequest> batch,
+                              const FlushInfo&) {
+                         release_request_batch(batch);
+                       }),
       response_shuffle_(options.layer == ProxyOptions::Layer::kIa
                             ? options.shuffle_size
                             : 0,
-                        options.shuffle_timeout) {
-  // Batch release: the whole shuffled batch crosses the enclave boundary as
-  // ONE ecall inside these sinks (set before any request can arrive).
-  request_shuffle_.set_batch_sink(
-      [this](std::span<PendingRequest> batch, const FlushInfo&) {
-        release_request_batch(batch);
-      });
-  response_shuffle_.set_batch_sink(
-      [this](std::span<PendingResponse> batch, const FlushInfo&) {
-        release_response_batch(batch);
-      });
+                        options.shuffle_timeout,
+                        [this](std::span<PendingResponse> batch,
+                               const FlushInfo&) {
+                          release_response_batch(batch);
+                        }) {
   // Initial ecall: deserialize the provisioned secrets into enclave-resident
   // logic objects. Throws if the enclave was not attested+provisioned first.
   // The blob is either one application's LayerSecrets or a TenantKeyring.
@@ -265,9 +263,11 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
               return;
             }
             if (response.status != 200) {
-              // Propagate LRS errors (still shuffled, passthrough).
+              // Propagate LRS errors (still shuffled, passthrough); k_u
+              // rides along only to be wiped at release.
               response_shuffle_.add(PendingResponse{
-                  std::move(response), std::move(done), nullptr, {}});
+                  std::move(response), std::move(done), nullptr,
+                  std::move(k_u.value())});
               return;
             }
             // No per-response ecall here: the seal happens batched, at
@@ -312,15 +312,16 @@ void ProxyServer::release_response_batch(std::span<PendingResponse> batch) {
   for (PendingResponse& item : batch) {
     if (item.logic == nullptr) {
       item.done(std::move(item.response));
-      continue;
-    }
-    IaSealSlot& slot = scratch->seal_slots[sealed_index++];
-    if (!slot.status.ok()) {
-      fail(item.done, 502, slot.status.error().message);
     } else {
-      item.done(http::HttpResponse::json_response(200,
-                                                  std::move(slot.sealed)));
+      IaSealSlot& slot = scratch->seal_slots[sealed_index++];
+      if (!slot.status.ok()) {
+        fail(item.done, 502, slot.status.error().message);
+      } else {
+        item.done(http::HttpResponse::json_response(200,
+                                                    std::move(slot.sealed)));
+      }
     }
+    // The one wipe site for every k_u taken from pending_, sealed or not.
     secure_wipe(MutByteView(item.k_u.data(), item.k_u.size()));
   }
   if (scratch) recycle_scratch(std::move(scratch));

@@ -97,7 +97,9 @@ class ProxyServer final : public net::RequestSink {
 
   /// One buffered outbound response (IA). `logic == nullptr` marks a
   /// passthrough (post response or LRS error); otherwise the LRS body is
-  /// sealed under `k_u` at release time, inside the per-flush ecall.
+  /// sealed under `k_u` at release time, inside the per-flush ecall. Every
+  /// `k_u` a get took from the PendingStore, an LRS error's included, is
+  /// wiped at release.
   struct PendingResponse {
     http::HttpResponse response;
     net::RespondFn done;

@@ -5,21 +5,14 @@
 // randomized order. Breaks the temporal correlation between a proxy layer's
 // inbound and outbound messages.
 //
-// The queue is generic over the buffered item type. The default (a
-// type-erased closure) keeps the historical "buffer of release actions"
-// behaviour; the proxy instantiates it with *typed* pending-request/response
-// structs instead, so a whole batch can cross the enclave boundary as one
-// ecall (ROADMAP item 3) through the batch sink:
-//
-//   * set_batch_sink(fn): on every flush, `fn(span<Item>, FlushInfo)` is
-//     invoked once with the already-shuffled batch. The vector's storage
-//     stays owned by the queue and is recycled (two pre-reserved buffers
-//     ping-pong between "filling" and "releasing"), so the steady-state
-//     add()/flush cycle performs no heap allocation at all — the fix for
-//     the old per-action std::function capture allocation.
-//   * without a sink, each item is invoked if the item type is callable
-//     (the historical behaviour); non-callable items require a sink before
-//     first use.
+// The queue is generic over the buffered item type; the proxy instantiates
+// it with typed pending-request/response structs, so a whole batch can cross
+// the enclave boundary as one ecall through the batch sink passed to the
+// constructor: on every flush, `sink(span<Item>, FlushInfo)` is invoked once
+// with the already-shuffled batch. The vector's storage stays owned by the
+// queue and is recycled (two pre-reserved buffers ping-pong between
+// "filling" and "releasing"), so the steady-state add()/flush cycle performs
+// no heap allocation at all.
 //
 // Buffered items carry *ciphertext only* (an already-transformed request or
 // a sealed response) or plaintext that is still sealed inside an HTTP body
@@ -32,7 +25,6 @@
 #include <chrono>
 #include <functional>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,8 +36,8 @@
 
 namespace pprox {
 
-/// Why a batch was released. Observable via set_flush_observer so the
-/// pprox_check shuffle model can verify "flush at exactly S or timer".
+/// Why a batch was released. Reported to the batch sink, so the pprox_check
+/// shuffle model can verify "flush at exactly S or timer".
 enum class FlushReason { kSize, kTimer, kExplicit };
 
 /// Snapshot of one flush, taken under the queue lock at swap time.
@@ -56,9 +48,8 @@ struct FlushInfo {
   SteadyClock::time_point deadline;
   SteadyClock::time_point now;
 };
-using FlushObserver = std::function<void(const FlushInfo&)>;
 
-template <typename Item = std::function<void()>>
+template <typename Item>
 class ShuffleQueue {
  public:
   /// Invoked once per released batch with the shuffled items. The span's
@@ -66,11 +57,11 @@ class ShuffleQueue {
   /// sink must move what it needs out of the items before returning.
   using BatchSink = std::function<void(std::span<Item>, const FlushInfo&)>;
 
-  /// size <= 1 disables buffering (items pass straight through, each as a
-  /// single-item batch when a sink is set). The timer bounds worst-case
-  /// queuing delay under low traffic.
-  ShuffleQueue(int size, std::chrono::milliseconds timeout)
-      : size_(size), timeout_(timeout) {
+  /// size <= 1 disables buffering (each item passes straight through to the
+  /// sink as a single-item batch). The timer bounds worst-case queuing delay
+  /// under low traffic.
+  ShuffleQueue(int size, std::chrono::milliseconds timeout, BatchSink sink)
+      : size_(size), timeout_(timeout), sink_(std::move(sink)) {
     if (size_ > 1) {
       // A batch can never exceed S items, and a releasing batch returns its
       // storage before the next flush in steady state: reserving two
@@ -93,16 +84,6 @@ class ShuffleQueue {
 
   ShuffleQueue(const ShuffleQueue&) = delete;
   ShuffleQueue& operator=(const ShuffleQueue&) = delete;
-
-  /// Test/model observer invoked (outside the lock, on the flushing thread)
-  /// for every non-empty batch, before its items are released. Set before
-  /// any concurrent use; not synchronized against in-flight flushes.
-  void set_flush_observer(FlushObserver observer) {
-    observer_ = std::move(observer);
-  }
-
-  /// Batch release hook; set before any concurrent use. See BatchSink.
-  void set_batch_sink(BatchSink sink) { sink_ = std::move(sink); }
 
   /// Adds an item. May synchronously flush (and release the batch on the
   /// calling thread) when the buffer reaches S.
@@ -161,16 +142,10 @@ class ShuffleQueue {
   }
 
  private:
-  /// size <= 1: no buffering, no observer, no flush accounting — but a
-  /// configured sink still sees the item as a single-item batch so callers
-  /// keep one code path for both modes.
+  /// size <= 1: no buffering and no flush accounting, but the sink still
+  /// sees the item as a single-item batch so callers keep one code path for
+  /// both modes.
   PPROX_HOT void pass_through(Item item) PPROX_EXCLUDES(mutex_) {
-    if (!sink_) {
-      if constexpr (std::is_invocable_v<Item&>) {
-        item();
-      }
-      return;
-    }
     std::vector<Item> batch;
     {
       LockGuard lock(mutex_);
@@ -211,52 +186,12 @@ class ShuffleQueue {
 
   void release(std::vector<Item>&& batch, const FlushInfo& info)
       PPROX_EXCLUDES(mutex_) {
-    if (observer_) observer_(info);
     shuffle(batch, rng_);
     flushes_.fetch_add(1, std::memory_order_relaxed);
-    if (sink_) {
-      sink_(std::span<Item>(batch), info);
-    } else if constexpr (std::is_invocable_v<Item&>) {
-      for (auto& item : batch) item();
-    }
+    sink_(std::span<Item>(batch), info);
     recycle(std::move(batch));
   }
 
-#ifdef PPROX_CHECK_SELFTEST
-  // Fault injection for pprox_check --model shuffle (tools/CMakeLists.txt):
-  // the pre-fix timer loop, preserved verbatim. wait_until() snapshots
-  // deadline_ once, so when a size-triggered flush disarms and a later
-  // add() re-arms while the timer is parked, the timer still times out at
-  // the OLD (earlier) deadline and flushes the successor batch before its
-  // delay bound (tools/traces/shuffle_stale_deadline.txt). The selftest
-  // build must make the model FAIL on exactly this schedule.
-  void timer_loop() PPROX_EXCLUDES(mutex_) {
-    UniqueLock lock(mutex_);
-    while (!stopping_) {
-      if (!deadline_armed_) {
-        cv_.wait(lock, [this] { return stopping_ || deadline_armed_; });
-        continue;
-      }
-      if (cv_.wait_until(lock, deadline_, [this] {
-            return stopping_ || !deadline_armed_;
-          })) {
-        continue;  // re-armed, flushed by size, or stopping
-      }
-      // Deadline reached with the buffer still pending: flush it.
-      std::vector<Item> batch;
-      batch.swap(buffer_);
-      refill_buffer_locked();
-      deadline_armed_ = false;
-      ++arm_generation_;
-      const FlushInfo info{FlushReason::kTimer, batch.size(), deadline_,
-                           SteadyClock::now()};
-      {
-        ScopedUnlock unlocked(lock);
-        if (!batch.empty()) release(std::move(batch), info);
-      }
-    }
-  }
-#else
   void timer_loop() PPROX_EXCLUDES(mutex_) {
     UniqueLock lock(mutex_);
     while (!stopping_) {
@@ -293,13 +228,11 @@ class ShuffleQueue {
       }
     }
   }
-#endif  // PPROX_CHECK_SELFTEST
 
   const int size_;
   const std::chrono::milliseconds timeout_;
   crypto::Drbg rng_;  // internally synchronized
-  FlushObserver observer_;  // set once before concurrent use
-  BatchSink sink_;          // set once before concurrent use
+  const BatchSink sink_;
 
   mutable Mutex mutex_;
   CondVar cv_;

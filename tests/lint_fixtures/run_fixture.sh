@@ -5,12 +5,10 @@
 #
 # MODE is any pass flag pprox_lint understands (`hotpath`, `locks`, `ct`,
 # `lifetime`, `flow`). The fixture is linted on its own; findings are
-# normalized and diffed against EXPECTED. Every key-emitting pass shares one
-# invocation path (--MODE --json, sorted baseline keys); `flow` is the one
-# odd duck (no --json, so its [rule] stderr tags are the normal form). The
-# lint exit code must also agree with the golden: a non-empty EXPECTED
-# demands exit 1, an empty one exit 0 — so a fixture that stops firing OR an
-# analyzer that stops failing both break the test.
+# normalized to their sorted baseline keys (--MODE --json) and diffed
+# against EXPECTED. The lint exit code must also agree with the golden: a
+# non-empty EXPECTED demands exit 1, an empty one exit 0 — so a fixture
+# that stops firing OR an analyzer that stops failing both break the test.
 set -u
 
 if [[ $# -ne 4 ]]; then
@@ -22,23 +20,10 @@ lint="$1" mode="$2" fixture="$3" expected="$4"
 cd "$(dirname "$fixture")" || exit 2
 name="$(basename "$fixture")"
 
-case "$mode" in
-  hotpath|locks|ct|lifetime)
-    raw="$("$lint" "--$mode" --json "$name" 2>/dev/null)"
-    rc=$?
-    got="$(printf '%s' "$raw" | grep -o '"key": "[^"]*"' |
-           sed 's/^"key": "//; s/"$//' | sort)"
-    ;;
-  flow)
-    raw="$("$lint" --flow "$name" 2>&1)"
-    rc=$?
-    got="$(printf '%s' "$raw" | grep -oE '\[[a-z-]+\]' | sort)"
-    ;;
-  *)
-    echo "unknown mode '$mode'" >&2
-    exit 2
-    ;;
-esac
+raw="$("$lint" "--$mode" --json "$name" 2>/dev/null)"
+rc=$?
+got="$(printf '%s' "$raw" | grep -o '"key": "[^"]*"' |
+       sed 's/^"key": "//; s/"$//' | sort)"
 
 want_rc=0
 [[ -s "$expected" ]] && want_rc=1

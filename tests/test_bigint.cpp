@@ -171,7 +171,9 @@ TEST(BigInt, FuzzAgainstNative128BitReference) {
         (BigInt(static_cast<std::uint64_t>(sum >> 64)) << 64) +
         BigInt(static_cast<std::uint64_t>(sum));
     ASSERT_EQ(a + b, expected_sum);
-    if (a64 >= b64) ASSERT_EQ(a - b, BigInt(a64 - b64));
+    if (a64 >= b64) {
+      ASSERT_EQ(a - b, BigInt(a64 - b64));
+    }
     ASSERT_EQ(a / b, BigInt(a64 / b64));
     ASSERT_EQ(a % b, BigInt(a64 % b64));
     ASSERT_EQ(BigInt::gcd(a, b), BigInt(std::__gcd(a64, b64)));

@@ -209,11 +209,5 @@ TEST(Result, StatusDefaultsToOk) {
   EXPECT_EQ(e.error().code, Error::Code::kPermissionDenied);
 }
 
-TEST(Result, ErrorCodeNames) {
-  EXPECT_STREQ(to_string(Error::Code::kParseError), "parse_error");
-  EXPECT_STREQ(to_string(Error::Code::kCryptoError), "crypto_error");
-  EXPECT_STREQ(to_string(Error::Code::kNotFound), "not_found");
-}
-
 }  // namespace
 }  // namespace pprox

@@ -284,6 +284,8 @@ TEST(PipelineErrors, LrsErrorPropagatesThroughBothLayers) {
   EXPECT_FALSE(client.post_sync("u", "i").ok());
   const auto recs = client.get_sync("u");
   EXPECT_FALSE(recs.ok());
+  // The failed get's k_u left the pending store (and was wiped at release).
+  EXPECT_EQ(deployment.ia_proxy(0).pending_responses(), 0u);
 }
 
 TEST(PipelineErrors, GarbageRequestRejectedAtUa) {

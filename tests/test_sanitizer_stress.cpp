@@ -12,6 +12,7 @@
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -127,23 +128,25 @@ TEST(SanitizerStress, ThreadPoolDrainRacesSubmit) {
 }
 
 // Adders racing the size-triggered flush, the timer flush, and explicit
-// flush_now() calls. Every action must run exactly once whichever path
-// releases it.
+// flush_now() calls. Every item must be released exactly once whichever
+// path releases it.
 TEST(SanitizerStress, ShuffleQueueConcurrentAddAndFlush) {
   constexpr int kAdders = 4;
   constexpr int kPerAdder = 800;
   constexpr int kTotal = kAdders * kPerAdder;
-  ShuffleQueue shuffle(8, std::chrono::milliseconds(1));
   std::atomic<int> released{0};
   std::latch all_released(kTotal);
+  ShuffleQueue<int> shuffle(8, std::chrono::milliseconds(1),
+                            [&](std::span<int> batch, const FlushInfo&) {
+                              const auto n = static_cast<int>(batch.size());
+                              released.fetch_add(n);
+                              all_released.count_down(n);
+                            });
   std::vector<std::thread> threads;
   for (int a = 0; a < kAdders; ++a) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, a] {
       for (int i = 0; i < kPerAdder; ++i) {
-        shuffle.add([&] {
-          released.fetch_add(1);
-          all_released.count_down();
-        });
+        shuffle.add(a * kPerAdder + i);
         if (i % 97 == 0) shuffle.flush_now();
       }
     });
@@ -160,9 +163,7 @@ TEST(SanitizerStress, ShuffleQueueConcurrentAddAndFlush) {
   flusher.join();
   shuffle.flush_now();
   // A timer flush may still be mid-batch when flush_now() returns, so the
-  // count check can only follow the latch the actions themselves count
-  // down. (The old version slept and hoped; under load the in-flight timer
-  // batch made released lag the total.)
+  // count check can only follow the latch the sink itself counts down.
   all_released.wait();
   EXPECT_EQ(released.load(), kTotal);
   EXPECT_GE(shuffle.flush_count(), 1u);
@@ -172,24 +173,25 @@ TEST(SanitizerStress, ShuffleQueueConcurrentAddAndFlush) {
 // Timer-driven release racing the adder. The shuffle size (64) is never
 // reached between handshakes, so only the 1ms timer can release the batch:
 // every 16 adds the adder cv-waits until the timer has flushed everything
-// added so far. That forces a real timer/adder race each round without the
-// old "sleep 2ms and hope a timer fired" pacing, which flaked whenever the
-// final count was read while a timer batch was still executing.
+// added so far. That forces a real timer/adder race each round without
+// sleep-based pacing, which flakes whenever the final count is read while a
+// timer batch is still being released.
 TEST(SanitizerStress, ShuffleQueueTimerRacesAdders) {
-  ShuffleQueue shuffle(64, std::chrono::milliseconds(1));
   std::atomic<int> released{0};
   std::mutex mu;
   std::condition_variable cv;
   int done = 0;  // guarded by mu
-  const auto action = [&] {
-    released.fetch_add(1);
+  const auto sink = [&](std::span<int> batch, const FlushInfo&) {
+    const auto n = static_cast<int>(batch.size());
+    released.fetch_add(n);
     std::lock_guard<std::mutex> lock(mu);
-    ++done;
+    done += n;
     cv.notify_all();
   };
-  constexpr int kActions = 300;
-  for (int i = 0; i < kActions; ++i) {
-    shuffle.add(action);
+  ShuffleQueue<int> shuffle(64, std::chrono::milliseconds(1), sink);
+  constexpr int kItems = 300;
+  for (int i = 0; i < kItems; ++i) {
+    shuffle.add(i);
     if (i % 16 == 0) {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return done == i + 1; });
@@ -197,13 +199,13 @@ TEST(SanitizerStress, ShuffleQueueTimerRacesAdders) {
   }
   // Destructor flushes the remainder and joins the timer thread.
   {
-    ShuffleQueue drain_on_exit(2, std::chrono::milliseconds(1));
-    drain_on_exit.add(action);
+    ShuffleQueue<int> drain_on_exit(2, std::chrono::milliseconds(1), sink);
+    drain_on_exit.add(kItems);
   }
   shuffle.flush_now();
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done == kActions + 1; });
-  EXPECT_EQ(released.load(), kActions + 1);
+  cv.wait(lock, [&] { return done == kItems + 1; });
+  EXPECT_EQ(released.load(), kItems + 1);
 }
 
 TEST(SanitizerStress, PendingStoreConcurrentPutTake) {

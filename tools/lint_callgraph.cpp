@@ -138,6 +138,8 @@ std::string last_component(const std::string& qname) {
   return sep == std::string::npos ? qname : qname.substr(sep + 2);
 }
 
+namespace {
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -152,6 +154,15 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+/// Parsed `<marker>aspect[,aspect]): reason` suppression on one line.
+struct Suppression {
+  unsigned effects = 0;
+  bool bare = false;  ///< reason missing — rejected, suppresses nothing
+};
+
+/// Scans raw source lines for `marker` (e.g. "PPROX-HOTPATH-OK(") and parses
+/// the aspect list via `from_name`. The mandatory ": <why>" contract is
+/// shared: a bare suppression gets effects=0 and bare=true.
 std::map<std::size_t, Suppression> scan_suppressions(
     const std::vector<std::string>& raw, const std::string& marker,
     unsigned (*from_name)(const std::string&)) {
@@ -188,6 +199,41 @@ std::map<std::size_t, Suppression> scan_suppressions(
     out.emplace(i + 1, s);
   }
   return out;
+}
+
+}  // namespace
+
+bool load_sources(const PassSpec& spec, const Options& opts,
+                  std::vector<Source>& sources,
+                  std::vector<Finding>& findings) {
+  for (const std::filesystem::path& path : opts.inputs) {
+    std::ifstream in(path);
+    if (!in) {
+      std::cerr << "pprox_lint: cannot read " << path << "\n";
+      return false;
+    }
+    Source src;
+    src.path = path.string();
+    std::string line;
+    while (std::getline(in, line)) src.raw.push_back(line);
+    for (const auto& [ln, s] :
+         scan_suppressions(src.raw, spec.marker, spec.from_name)) {
+      if (!s.bare) {
+        src.suppressions.emplace(ln, s.effects);
+        continue;
+      }
+      Finding f;
+      f.rule = spec.bare_rule;
+      f.key = spec.bare_rule + "|" + path.filename().string() + "|" +
+              std::to_string(ln);
+      f.path = src.path;
+      f.line = ln;
+      f.message = spec.bare_message;
+      findings.push_back(std::move(f));
+    }
+    sources.push_back(std::move(src));
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -845,18 +891,18 @@ void print_json(const std::string& mode, const std::vector<Finding>& findings,
 
 }  // namespace
 
-int report(const ReportSpec& spec, std::vector<Finding>& findings,
-           std::size_t files) {
+int report(const PassSpec& spec, const Options& opts,
+           std::vector<Finding>& findings, std::size_t files) {
   std::stable_sort(findings.begin(), findings.end(),
                    [](const Finding& a, const Finding& b) {
                      return std::tie(a.path, a.line, a.key) <
                             std::tie(b.path, b.line, b.key);
                    });
 
-  if (!spec.baseline_write.empty()) {
+  if (!opts.baseline_write.empty()) {
     std::map<std::string, std::string> old_whys;
     // Best-effort carry-over of existing justifications by key.
-    parse_keyed_baseline(spec.baseline_write, spec.anchor, old_whys);
+    parse_keyed_baseline(opts.baseline_write, spec.anchor, old_whys);
     std::map<std::string, std::string> entries;
     for (const Finding& f : findings) {
       if (f.rule == spec.bare_rule) continue;  // never baselinable
@@ -865,31 +911,31 @@ int report(const ReportSpec& spec, std::vector<Finding>& findings,
                            ? it->second
                            : spec.default_why;
     }
-    if (!write_keyed_baseline(spec.baseline_write, spec.anchor, entries)) {
-      std::cerr << "pprox_lint: cannot write baseline " << spec.baseline_write
+    if (!write_keyed_baseline(opts.baseline_write, spec.anchor, entries)) {
+      std::cerr << "pprox_lint: cannot write baseline " << opts.baseline_write
                 << "\n";
       return 2;
     }
     std::cout << "pprox_lint: wrote " << entries.size() << " " << spec.anchor
               << " baseline entr" << (entries.size() == 1 ? "y" : "ies")
-              << " to " << spec.baseline_write << "\n";
+              << " to " << opts.baseline_write << "\n";
     return 0;
   }
 
-  if (spec.json) {
+  if (opts.json) {
     print_json(spec.mode, findings, files);
-  } else if (spec.baseline.empty()) {
+  } else if (opts.baseline.empty()) {
     for (const Finding& f : findings) {
       std::cerr << f.path << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
     }
   }
 
-  if (!spec.baseline.empty()) {
+  if (!opts.baseline.empty()) {
     std::map<std::string, std::string> base;
-    if (!parse_keyed_baseline(spec.baseline, spec.anchor, base)) {
+    if (!parse_keyed_baseline(opts.baseline, spec.anchor, base)) {
       std::cerr << "pprox_lint: cannot parse " << spec.anchor << " baseline "
-                << spec.baseline << "\n";
+                << opts.baseline << "\n";
       return 2;
     }
     std::map<std::string, int> current;
@@ -900,7 +946,7 @@ int report(const ReportSpec& spec, std::vector<Finding>& findings,
       if (!bare && base.count(f.key) != 0) continue;  // ratcheted, silent
       // New key (or a bare suppression, which is never baselinable): print
       // the full finding — in ratchet mode only regressions make noise.
-      if (!spec.json) {
+      if (!opts.json) {
         std::cerr << f.path << ":" << f.line << ": [" << f.rule << "] "
                   << f.message << "\n";
       }
@@ -921,7 +967,7 @@ int report(const ReportSpec& spec, std::vector<Finding>& findings,
       }
     }
     if (regressed) return 1;
-    if (!spec.json) {
+    if (!opts.json) {
       std::cout << "pprox_lint: " << files << " file(s), " << findings.size()
                 << " " << spec.what << " finding(s), all within baseline";
       if (stale != 0) {
@@ -938,7 +984,7 @@ int report(const ReportSpec& spec, std::vector<Finding>& findings,
               << files << " file(s)\n";
     return 1;
   }
-  if (!spec.json) {
+  if (!opts.json) {
     std::cout << "pprox_lint: " << files << " file(s) " << spec.what
               << " clean\n";
   }

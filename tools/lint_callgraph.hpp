@@ -1,6 +1,6 @@
 // Shared token-level C++ call-graph front end for the pprox_lint
-// whole-program passes (--hotpath, --locks). There is no libclang in the
-// container, so this is the same comment/string-stripping + scope-stack
+// whole-program passes (--hotpath, --locks, --ct, --lifetime). The tool
+// needs no libclang: this is the same comment/string-stripping + scope-stack
 // machinery the flow linter uses, grown function-grained: it records, for
 // every function definition across all TUs, the qualified name, the
 // PPROX_HOT / PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY annotations, and the
@@ -12,9 +12,14 @@
 // Overloads and #ifdef-twin definitions merge into one node whose spans
 // accumulate; effects computed by a pass are therefore unioned across all
 // definitions — conservative in the right direction (DESIGN.md §11.2).
+//
+// Every rule family, the line-local crypto/flow rules included, also shares
+// one command line (Options), one source loader that scans suppressions,
+// one Finding type, and one report tail with the keyed baseline ratchet.
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,8 +50,6 @@ std::vector<Tok> tokenize(const std::vector<std::string>& code);
 
 /// "a::b::c" -> "c"; names without "::" pass through.
 std::string last_component(const std::string& qname);
-
-std::string json_escape(const std::string& s);
 
 /// One contiguous function-body token range: [begin, end) into
 /// Graph::tus[tu].toks, where toks[end] is the body's closing '}'.
@@ -88,21 +91,6 @@ struct Graph {
   void merge_decl_annotations();
 };
 
-// --- suppression comments --------------------------------------------------
-
-/// Parsed `// <MARKER>(aspect[,aspect]): reason` suppression on one line.
-struct Suppression {
-  unsigned effects = 0;
-  bool bare = false;  ///< reason missing — rejected, suppresses nothing
-};
-
-/// Scans raw source lines for `marker` (e.g. "PPROX-HOTPATH-OK(") and parses
-/// the aspect list via `from_name`. The mandatory ": <why>" contract is
-/// shared: a bare suppression gets effects=0 and bare=true.
-std::map<std::size_t, Suppression> scan_suppressions(
-    const std::vector<std::string>& raw, const std::string& marker,
-    unsigned (*from_name)(const std::string&));
-
 // --- call-name resolution --------------------------------------------------
 
 /// Index of scanned functions by last name component, for unqualified and
@@ -120,7 +108,16 @@ std::vector<int> resolve_name(
     const Graph& g, const std::map<std::string, std::vector<int>>& by_last,
     const Fn& caller, const std::string& name);
 
-// --- findings and keyed baselines ------------------------------------------
+// --- findings, sources and keyed baselines --------------------------------
+
+/// Command line shared by every rule family (crypto, flow, hotpath, locks,
+/// ct, lifetime).
+struct Options {
+  bool json = false;
+  std::string baseline;        ///< --baseline FILE (ratchet mode)
+  std::string baseline_write;  ///< --baseline-write FILE (regenerate)
+  std::vector<std::filesystem::path> inputs;
+};
 
 struct Finding {
   std::string rule;
@@ -128,8 +125,36 @@ struct Finding {
   std::string path;
   std::size_t line = 0;
   std::string message;
-  std::string chain;  ///< "root -> ... -> leaf"
+  std::string chain;  ///< "root -> ... -> leaf"; empty for line-local rules
 };
+
+/// What a rule family plugs into the shared loader and report tail.
+struct PassSpec {
+  std::string mode;          ///< --json "mode" field, e.g. "hotpath"
+  std::string anchor;        ///< baseline top-level key
+  std::string what;          ///< human label, e.g. "hot-path"
+  std::string marker;        ///< suppression marker, e.g. "PPROX-HOTPATH-OK("
+  unsigned (*from_name)(const std::string&) = nullptr;  ///< aspect -> bits
+  std::string bare_rule;     ///< bare-suppression rule (never baselinable)
+  std::string bare_message;  ///< message of a bare-suppression finding
+  std::string default_why;   ///< why for --baseline-write entries without one
+};
+
+/// One input file as read by load_sources().
+struct Source {
+  std::string path;
+  std::vector<std::string> raw;
+  /// Justified `<marker>aspect[,aspect]): reason` suppressions: the line
+  /// they sit on -> aspect bits. Anchoring them is the pass's business.
+  std::map<std::size_t, unsigned> suppressions;
+};
+
+/// Shared head of a pass's run(): reads every input and scans its
+/// suppressions. A suppression without a ": <why>" suppresses nothing and
+/// becomes a `bare_rule` finding. Returns false (after printing why) when an
+/// input is unreadable.
+bool load_sources(const PassSpec& spec, const Options& opts,
+                  std::vector<Source>& sources, std::vector<Finding>& findings);
 
 /// Reads the `"<anchor>": [{"key": ..., "why": ...}, ...]` entry list from a
 /// baseline file into key -> why. Returns false when the file is unreadable
@@ -144,18 +169,7 @@ bool write_keyed_baseline(const std::string& path, const std::string& anchor,
 /// Shared tail of a pass's run(): sort, print (plain or --json), apply the
 /// --baseline ratchet or --baseline-write regeneration, return the exit
 /// code (0 clean/within-baseline, 1 findings/regressions, 2 IO errors).
-struct ReportSpec {
-  std::string mode;        ///< --json "mode" field, e.g. "hotpath"
-  std::string anchor;      ///< baseline top-level key
-  std::string what;        ///< human label, e.g. "hot-path"
-  std::string bare_rule;   ///< bare-suppression rule name (never baselinable)
-  std::string default_why; ///< why for --baseline-write entries without one
-  bool json = false;
-  std::string baseline;
-  std::string baseline_write;
-};
-
-int report(const ReportSpec& spec, std::vector<Finding>& findings,
-           std::size_t files);
+int report(const PassSpec& spec, const Options& opts,
+           std::vector<Finding>& findings, std::size_t files);
 
 }  // namespace cg

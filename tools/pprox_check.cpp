@@ -15,8 +15,10 @@
 //
 // Build: -DPPROX_MODEL_CHECK=ON (tools/CMakeLists.txt only adds this
 // target in that configuration). -DPPROX_CHECK_SELFTEST=ON additionally
-// re-injects the pre-fix logic into the code under test so every model
-// must FAIL — a permanent regression test of the checker itself.
+// runs every model on its pre-fix subject — the shuffle, mpmc and pool
+// models on the small variants below, rotation and lockorder on the pre-fix
+// branch of their bodies — so every model must FAIL: a permanent regression
+// test of the checker itself. The production headers carry no selftest code.
 #ifndef PPROX_MODEL_CHECK
 #error "pprox_check requires -DPPROX_MODEL_CHECK (see tools/CMakeLists.txt)"
 #endif
@@ -30,6 +32,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
@@ -46,6 +50,7 @@ using pprox::FlushInfo;
 using pprox::FlushReason;
 using pprox::LockGuard;
 using pprox::Mutex;
+using pprox::ScopedUnlock;
 using pprox::ShuffleQueue;
 using pprox::SteadyClock;
 using pprox::UniqueLock;
@@ -61,46 +66,135 @@ namespace det = pprox::det;
 // latency). The queue is the TYPED batch buffer the proxy instantiates with
 // pending-request structs: the model drives ShuffleQueue<int> through the
 // batch sink, exactly the release interface the one-ecall-per-flush proxy
-// uses. Checked invariants:
+// uses. The sink checks every FlushInfo it receives:
 //   * every add()ed item is delivered by the sink exactly once (checked
 //     after destruction);
-//   * the sink's span agrees with FlushInfo::batch_size;
+//   * a batch is non-empty, holds at most S items, and its span agrees with
+//     FlushInfo::batch_size;
 //   * a size-triggered flush carries exactly S items;
 //   * a timer-triggered flush never fires before the deadline of the arming
 //     it flushes — the pre-fix timer waited on a stale deadline snapshot and
 //     could flush a successor batch early (tools/traces/shuffle_stale_deadline.txt).
 //
 // Shape: S = 2, two producers (2-producer/1-flush: the queue's own timer
-// thread is the single flusher; the destructor's flush_now() drains leftovers).
+// thread is the single flusher; the destructor's flush drains leftovers).
 // det::advance_time() between producer-1's adds separates the two arming
 // deadlines on the virtual clock, which is what makes the stale-deadline
 // arbitration observable.
 // ---------------------------------------------------------------------------
 
+#ifdef PPROX_CHECK_SELFTEST
+// Pre-fix ShuffleQueue<int>, reduced to its flush arbitration. The timer
+// hands wait_until() one snapshot of deadline_, and a size flush disarms
+// without waking it: when a later add() re-arms while the timer is parked,
+// the timer still times out at the OLD (earlier) deadline and flushes the
+// successor batch before its delay bound.
+class StaleDeadlineShuffle {
+ public:
+  StaleDeadlineShuffle(int size, std::chrono::milliseconds timeout,
+                       ShuffleQueue<int>::BatchSink sink)
+      : size_(size), timeout_(timeout), sink_(std::move(sink)) {
+    timer_ = DetThread([this] { timer_loop(); }, "shuffle-timer");
+  }
+
+  ~StaleDeadlineShuffle() {
+    {
+      LockGuard lock(mutex_);
+      stopping_ = true;
+      cv_.notify_all();
+    }
+    timer_.join();
+    LockGuard lock(mutex_);
+    if (!buffer_.empty()) {
+      sink_(std::span<int>(buffer_),
+            FlushInfo{FlushReason::kExplicit, buffer_.size(), deadline_,
+                      SteadyClock::now()});
+    }
+  }
+
+  void add(int item) {
+    std::vector<int> batch;
+    FlushInfo info{FlushReason::kSize, 0, {}, {}};
+    {
+      LockGuard lock(mutex_);
+      buffer_.push_back(item);
+      if (static_cast<int>(buffer_.size()) >= size_) {
+        batch.swap(buffer_);
+        deadline_armed_ = false;
+        info = FlushInfo{FlushReason::kSize, batch.size(), deadline_,
+                         SteadyClock::now()};
+      } else if (buffer_.size() == 1) {
+        deadline_ = SteadyClock::now() + timeout_;
+        deadline_armed_ = true;
+        cv_.notify_all();
+      }
+    }
+    if (!batch.empty()) sink_(std::span<int>(batch), info);
+  }
+
+ private:
+  void timer_loop() {
+    UniqueLock lock(mutex_);
+    while (!stopping_) {
+      if (!deadline_armed_) {
+        cv_.wait(lock, [this] { return stopping_ || deadline_armed_; });
+        continue;
+      }
+      if (cv_.wait_until(lock, deadline_, [this] {
+            return stopping_ || !deadline_armed_;
+          })) {
+        continue;  // re-armed, flushed by size, or stopping
+      }
+      std::vector<int> batch;
+      batch.swap(buffer_);
+      deadline_armed_ = false;
+      const FlushInfo info{FlushReason::kTimer, batch.size(), deadline_,
+                           SteadyClock::now()};
+      {
+        ScopedUnlock unlocked(lock);
+        if (!batch.empty()) sink_(std::span<int>(batch), info);
+      }
+    }
+  }
+
+  const int size_;
+  const std::chrono::milliseconds timeout_;
+  const ShuffleQueue<int>::BatchSink sink_;
+  Mutex mutex_;
+  CondVar cv_;
+  std::vector<int> buffer_;
+  SteadyClock::time_point deadline_{};
+  bool deadline_armed_ = false;
+  bool stopping_ = false;
+  DetThread timer_;
+};
+#endif  // PPROX_CHECK_SELFTEST
+
+template <typename Queue>  // ShuffleQueue<int>, or StaleDeadlineShuffle
 void model_shuffle() {
   int released[3] = {0, 0, 0};
   {
-    ShuffleQueue<int> queue(2, std::chrono::milliseconds(50));
-    queue.set_flush_observer([](const FlushInfo& info) {
-      det::model_check(info.batch_size >= 1,
-                       "flush observer invoked for an empty batch");
-      det::model_check(info.batch_size <= 2,
-                       "flush released more than S items");
-      if (info.reason == FlushReason::kSize) {
-        det::model_check(info.batch_size == 2,
-                         "size-triggered flush with fewer than S items");
-      }
-      if (info.reason == FlushReason::kTimer) {
-        det::model_check(
-            info.now >= info.deadline,
-            "timer flush before the armed deadline (stale-deadline arbitration)");
-      }
-    });
-    queue.set_batch_sink([&](std::span<int> batch, const FlushInfo& info) {
-      det::model_check(batch.size() == info.batch_size,
-                       "batch sink span disagrees with FlushInfo::batch_size");
-      for (const int item : batch) ++released[item];
-    });
+    Queue queue(2, std::chrono::milliseconds(50),
+                [&](std::span<int> batch, const FlushInfo& info) {
+                  det::model_check(!batch.empty(),
+                                   "batch sink invoked for an empty batch");
+                  det::model_check(
+                      batch.size() == info.batch_size,
+                      "batch sink span disagrees with FlushInfo::batch_size");
+                  det::model_check(info.batch_size <= 2,
+                                   "flush released more than S items");
+                  if (info.reason == FlushReason::kSize) {
+                    det::model_check(
+                        info.batch_size == 2,
+                        "size-triggered flush with fewer than S items");
+                  }
+                  if (info.reason == FlushReason::kTimer) {
+                    det::model_check(info.now >= info.deadline,
+                                     "timer flush before the armed deadline "
+                                     "(stale-deadline arbitration)");
+                  }
+                  for (const int item : batch) ++released[item];
+                });
     DetThread producer1(
         [&] {
           queue.add(0);
@@ -112,7 +206,7 @@ void model_shuffle() {
     DetThread producer2([&] { queue.add(1); }, "producer-2");
     producer1.join();
     producer2.join();
-  }  // ~ShuffleQueue: stop timer, flush_now() leftovers
+  }  // destructor: stop the timer, flush leftovers
   for (int i = 0; i < 3; ++i) {
     det::model_check(released[i] == 1,
                      "shuffle item lost or duplicated (released != 1)");
@@ -181,8 +275,67 @@ bool linearize(const std::vector<QueueOp>& ops, std::vector<bool>& used,
   return false;
 }
 
+#ifdef PPROX_CHECK_SELFTEST
+// Pre-fix MpmcQueue<int>: the same Vyukov push, but a dequeue that claims a
+// slot with fetch_add BEFORE checking its sequence. A pop racing an
+// in-flight push burns the slot and returns empty, so the pushed element is
+// skipped forever.
+class LostSlotMpmc {
+ public:
+  explicit LostSlotMpmc(std::size_t capacity) : cells_(capacity) {
+    for (std::size_t i = 0; i < capacity; ++i) {
+      cells_[i].sequence.store(i, std::memory_order_relaxed);
+    }
+  }
+
+  std::size_t capacity() const { return cells_.size(); }
+
+  bool try_push(int value) {
+    std::size_t pos = tail_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& cell = cells_[pos % cells_.size()];
+      const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
+      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
+                                 static_cast<std::intptr_t>(pos);
+      if (diff == 0) {
+        if (tail_.compare_exchange_weak(pos, pos + 1,
+                                        std::memory_order_relaxed)) {
+          cell.value = value;
+          cell.sequence.store(pos + 1, std::memory_order_release);
+          return true;
+        }
+      } else if (diff < 0) {
+        return false;  // full
+      } else {
+        pos = tail_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  std::optional<int> try_pop() {
+    const std::size_t pos = head_.fetch_add(1, std::memory_order_relaxed);
+    Cell& cell = cells_[pos % cells_.size()];
+    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
+    if (seq != pos + 1) return std::nullopt;  // slot burned: element lost
+    const int value = cell.value;
+    cell.sequence.store(pos + cells_.size(), std::memory_order_release);
+    return value;
+  }
+
+ private:
+  struct Cell {
+    Atomic<std::size_t> sequence{0};
+    int value = 0;
+  };
+  std::vector<Cell> cells_;
+  Atomic<std::size_t> head_{0};
+  Atomic<std::size_t> tail_{0};
+};
+#endif  // PPROX_CHECK_SELFTEST
+
+template <typename Queue>  // MpmcQueue<int>, or LostSlotMpmc
 void model_mpmc() {
-  pprox::concurrent::MpmcQueue<int> queue(2);
+  Queue queue(2);
   // Per-slot records, disjoint per thread; reads happen after join().
   QueueOp ops[4];
 
@@ -243,11 +396,77 @@ void model_mpmc() {
 //   * submit() after shutdown() returns false.
 // ---------------------------------------------------------------------------
 
+#ifdef PPROX_CHECK_SELFTEST
+// Pre-fix ThreadPool: submit() checks stopping_ and then publishes, and
+// shutdown() only joins the workers. A submit() that passed its check can
+// lose the CPU and publish its task after every worker exited, so the task
+// is accepted but never runs.
+class LostTaskPool {
+ public:
+  LostTaskPool(std::size_t num_threads, std::size_t queue_capacity)
+      : queue_(queue_capacity) {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back(
+          DetThread([this] { worker_loop(); }, "pool-worker"));
+    }
+  }
+
+  ~LostTaskPool() { shutdown(); }
+
+  bool submit(std::function<void()> task) {
+    while (!stopping_.load(std::memory_order_acquire)) {
+      if (queue_.try_push(std::move(task))) {
+        LockGuard lock(mutex_);
+        cv_.notify_one();
+        return true;
+      }
+      std::this_thread::yield();
+    }
+    return false;
+  }
+
+  void shutdown() {
+    bool expected = false;
+    if (!stopping_.compare_exchange_strong(expected, true)) return;
+    {
+      LockGuard lock(mutex_);
+      cv_.notify_all();
+    }
+    for (DetThread& w : workers_) {
+      if (w.joinable()) w.join();
+    }
+  }
+
+ private:
+  void worker_loop() {
+    while (true) {
+      if (auto task = queue_.try_pop()) {
+        (*task)();
+        continue;
+      }
+      if (stopping_.load(std::memory_order_acquire)) return;
+      UniqueLock lock(mutex_);
+      cv_.wait(lock, [this] {
+        return stopping_.load(std::memory_order_acquire) ||
+               queue_.approx_size() > 0;
+      });
+    }
+  }
+
+  pprox::concurrent::MpmcQueue<std::function<void()>> queue_;
+  std::vector<DetThread> workers_;
+  Atomic<bool> stopping_{false};
+  Mutex mutex_;
+  CondVar cv_;
+};
+#endif  // PPROX_CHECK_SELFTEST
+
+template <typename Pool>  // ThreadPool, or LostTaskPool
 void model_pool() {
   int executed = 0;  // only touched by pool-managed threads; read after joins
   bool accepted = false;
   {
-    pprox::concurrent::ThreadPool pool(1, 2);
+    Pool pool(1, 2);
     DetThread submitter(
         [&] { accepted = pool.submit([&] { ++executed; }); }, "submitter");
     pool.shutdown();
@@ -451,14 +670,24 @@ struct ModelEntry {
   void (*body)();
 };
 
+#ifdef PPROX_CHECK_SELFTEST
+using ShuffleSubject = StaleDeadlineShuffle;
+using MpmcSubject = LostSlotMpmc;
+using PoolSubject = LostTaskPool;
+#else
+using ShuffleSubject = ShuffleQueue<int>;
+using MpmcSubject = pprox::concurrent::MpmcQueue<int>;
+using PoolSubject = pprox::concurrent::ThreadPool;
+#endif
+
 constexpr ModelEntry kModels[] = {
     {"shuffle",
-     "ShuffleQueue: no action lost/duplicated; flush at exactly S or timer",
-     &model_shuffle},
+     "ShuffleQueue: no item lost/duplicated; flush at exactly S or timer",
+     &model_shuffle<ShuffleSubject>},
     {"mpmc", "MpmcQueue: linearizable against a bounded FIFO spec",
-     &model_mpmc},
+     &model_mpmc<MpmcSubject>},
     {"pool", "ThreadPool: no accepted task lost across shutdown()",
-     &model_pool},
+     &model_pool<PoolSubject>},
     {"rotation",
      "Key rotation: no stale-key pseudonymization, no use-after-rotate",
      &model_rotation},
@@ -606,8 +835,8 @@ int main(int argc, char** argv) {
   }
 
 #ifdef PPROX_CHECK_SELFTEST
-  std::printf("pprox_check: SELFTEST build — pre-fix faults injected, "
-              "every model is expected to FAIL\n");
+  std::printf("pprox_check: SELFTEST build — models run on pre-fix "
+              "subjects, every model is expected to FAIL\n");
 #endif
 
   const det::Report report = det::explore(options, model->body);

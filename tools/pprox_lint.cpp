@@ -39,21 +39,22 @@
 //   flow-internal UnsafeRawAccess referenced outside common/taint.hpp.
 //
 // False positives are suppressed inline, on the offending line, with a
-// mandatory reason:
+// mandatory reason (a bare allow(...) suppresses nothing):
 //     std::memcmp(a, b, n);  // pprox-lint: allow(memcmp): public inputs
 //
-// Output: "file:line: [rule] message" diagnostics on stderr, or a JSON
-// report on stdout with --json (findings, per-rule totals, and the per-unit
-// layer/include graph). --baseline FILE compares per-rule totals against a
-// checked-in baseline and fails only on regressions, so CI can gate on
-// "no new findings" while a cleanup is in flight.
+// Every rule family below reports through lint_callgraph's one path:
+// "file:line: [rule] message" diagnostics on stderr, or a JSON report on
+// stdout with --json. Each finding carries a line-free key
+// (rule|file|symbol for the crypto/flow rules); --baseline FILE fails only
+// on keys the checked-in baseline does not list (tools/lint_baseline.json
+// here), so CI can gate on "no new findings" while a cleanup is in flight,
+// and --baseline-write FILE regenerates it.
 //
 // Hot-path rules (--hotpath) run the call-graph discipline pass of
 // tools/pprox_lint_hotpath.cpp (DESIGN.md §11): PPROX_HOT /
 // PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY functions must not reach heap
 // allocation, blocking operations, throws, or recursion cycles. Its
-// --baseline file is key-based (tools/hotpath_baseline.json), not
-// totals-based; --baseline-write regenerates either format.
+// baseline is tools/hotpath_baseline.json.
 //
 // Lock-discipline rules (--locks) run the interprocedural pass of
 // tools/pprox_lint_locks.cpp (DESIGN.md §12) over the same shared call
@@ -69,18 +70,15 @@
 //
 // Exit status: 0 clean (or within baseline), 1 findings/regressions,
 // 2 usage/IO error.
-#include "ct_pass.hpp"
-#include "hotpath_pass.hpp"
-#include "lifetime_pass.hpp"
-#include "locks_pass.hpp"
+#include "lint_passes.hpp"
 
 #include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -90,40 +88,21 @@ namespace fs = std::filesystem;
 
 namespace {
 
-struct Finding {
-  std::string path;
-  std::size_t line;
-  std::string rule;
-  std::string message;
-};
+using cg::is_ident_char;
 
 /// One scanned file in the flow model: its declared layer and its direct
 /// repo-relative includes (the per-TU node of the symbol/include graph).
 struct Unit {
   std::string path;           ///< as passed on the command line
   std::string layer;          ///< ua|ia|client|lrs|shared|attack|vocab|tooling
-  bool layer_from_marker = false;
   std::vector<std::string> includes;  ///< include strings, e.g. "pprox/keys.hpp"
-};
-
-struct Options {
-  bool flow = false;
-  bool hotpath = false;
-  bool locks = false;
-  bool ct = false;
-  bool lifetime = false;
-  bool json = false;
-  bool list_rules = false;
-  std::string baseline;
-  std::string baseline_write;
-  std::vector<fs::path> inputs;
 };
 
 /// Rule registry for --list-rules: one consolidated row per rule across
 /// every pass — pass name, rule id, suppression token, baseline file,
-/// summary. Kept next to the Options so adding a rule without listing it
-/// is hard to miss in review. (The suppression marker strings are split so
-/// this file never matches its own scanners.)
+/// summary. Kept at the top of the driver so adding a rule without listing
+/// it is hard to miss in review. (The suppression marker strings are split
+/// so this file never matches its own scanners.)
 struct RuleDoc {
   const char* pass;      ///< crypto | flow | hotpath | locks | ct | lifetime
   const char* name;
@@ -238,8 +217,17 @@ constexpr RuleDoc kRuleDocs[] = {
 #undef PPROX_ALLOW_TOKEN
 #undef PPROX_OK_TOKEN
 
-bool is_ident(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+/// The crypto/flow rules an allow(...) can name, one suppression bit each.
+constexpr const char* kAllowRules[] = {
+    "rand",       "memcmp",   "secure-wipe",     "secret-index",
+    "intrinsics", "raw-sync", "flow-layer",      "flow-declassify",
+    "flow-test-declassify",   "flow-internal"};
+
+unsigned rule_bit(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kAllowRules); ++i) {
+    if (name == kAllowRules[i]) return 1u << i;
+  }
+  return 0;
 }
 
 /// True when `token` (a qualified name like "std::mutex") appears in `line`
@@ -251,52 +239,13 @@ bool has_qualified(const std::string& line, const std::string& token) {
   std::size_t pos = 0;
   while ((pos = line.find(token, pos)) != std::string::npos) {
     const bool pre_ok =
-        pos == 0 || (!is_ident(line[pos - 1]) && line[pos - 1] != ':');
+        pos == 0 || (!is_ident_char(line[pos - 1]) && line[pos - 1] != ':');
     const std::size_t after = pos + token.size();
-    const bool post_ok = after >= line.size() || !is_ident(line[after]);
+    const bool post_ok = after >= line.size() || !is_ident_char(line[after]);
     if (pre_ok && post_ok) return true;
     pos += token.size();
   }
   return false;
-}
-
-/// Parses a suppression comment ("pprox-lint: allow(rule): why") out of a
-/// raw line. `bare` is set when no ": why" follows the closing parenthesis.
-std::set<std::string> suppressions_on(const std::string& line, bool* bare) {
-  std::set<std::string> rules;
-  if (bare != nullptr) *bare = false;
-  const std::string marker = "pprox-lint:";
-  std::size_t pos = line.find(marker);
-  if (pos == std::string::npos) return rules;
-  pos = line.find("allow(", pos);
-  if (pos == std::string::npos) return rules;
-  pos += 6;
-  const std::size_t end = line.find(')', pos);
-  if (end == std::string::npos) return rules;
-  std::string inside = line.substr(pos, end - pos);
-  std::replace(inside.begin(), inside.end(), ',', ' ');
-  std::istringstream iss(inside);
-  std::string rule;
-  while (iss >> rule) rules.insert(rule);
-  if (bare != nullptr && !rules.empty()) {
-    // Require ": <nonempty reason>" after the closing parenthesis.
-    std::size_t after = end + 1;
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after])) != 0) {
-      ++after;
-    }
-    if (after >= line.size() || line[after] != ':') {
-      *bare = true;
-    } else {
-      ++after;
-      while (after < line.size() &&
-             std::isspace(static_cast<unsigned char>(line[after])) != 0) {
-        ++after;
-      }
-      if (after >= line.size()) *bare = true;
-    }
-  }
-  return rules;
 }
 
 /// Strips comments and string/char literals from the file, preserving the
@@ -352,7 +301,7 @@ std::vector<std::string> code_lines(const std::vector<std::string>& raw) {
 bool has_call(const std::string& code, const std::string& name) {
   std::size_t pos = 0;
   while ((pos = code.find(name, pos)) != std::string::npos) {
-    const bool start_ok = pos == 0 || !is_ident(code[pos - 1]);
+    const bool start_ok = pos == 0 || !is_ident_char(code[pos - 1]);
     std::size_t after = pos + name.size();
     while (after < code.size() &&
            std::isspace(static_cast<unsigned char>(code[after])) != 0) {
@@ -372,9 +321,9 @@ bool has_call(const std::string& code, const std::string& name) {
 bool has_word(const std::string& code, const std::string& name) {
   std::size_t pos = 0;
   while ((pos = code.find(name, pos)) != std::string::npos) {
-    const bool start_ok = pos == 0 || !is_ident(code[pos - 1]);
+    const bool start_ok = pos == 0 || !is_ident_char(code[pos - 1]);
     const std::size_t after = pos + name.size();
-    const bool end_ok = after >= code.size() || !is_ident(code[after]);
+    const bool end_ok = after >= code.size() || !is_ident_char(code[after]);
     if (start_ok && end_ok) return true;
     pos += name.size();
   }
@@ -441,7 +390,7 @@ std::vector<std::string> key_decl_names(const std::string& code,
   for (const std::string& type : kTypes) {
     std::size_t pos = 0;
     while ((pos = code.find(type, pos)) != std::string::npos) {
-      const bool start_ok = pos == 0 || !is_ident(code[pos - 1]);
+      const bool start_ok = pos == 0 || !is_ident_char(code[pos - 1]);
       std::size_t i = pos + type.size();
       pos = i;
       if (!start_ok) continue;
@@ -461,7 +410,9 @@ std::vector<std::string> key_decl_names(const std::string& code,
         ++i;
       }
       std::string name;
-      while (i < code.size() && is_ident(code[i])) name.push_back(code[i++]);
+      while (i < code.size() && is_ident_char(code[i])) {
+        name.push_back(code[i++]);
+      }
       while (i < code.size() &&
              std::isspace(static_cast<unsigned char>(code[i])) != 0) {
         ++i;
@@ -517,9 +468,7 @@ const std::vector<std::string> kLrsBannedHeaders = {
 /// string literals deeper in a file (this one, for instance) cannot
 /// self-classify it.
 std::string detect_layer(const fs::path& path,
-                         const std::vector<std::string>& raw,
-                         bool* from_marker) {
-  *from_marker = false;
+                         const std::vector<std::string>& raw) {
   const std::string tag = std::string("PPROX-") + "LAYER:";
   for (std::size_t i = 0; i < raw.size() && i < 40; ++i) {
     const std::size_t pos = raw[i].find(tag);
@@ -527,7 +476,6 @@ std::string detect_layer(const fs::path& path,
     std::istringstream iss(raw[i].substr(pos + tag.size()));
     std::string layer;
     iss >> layer;
-    *from_marker = true;
     return layer;
   }
   const std::string p = path.generic_string();
@@ -570,12 +518,12 @@ std::vector<std::string> decl_refs_on(const std::string& code) {
   const std::string prefix = std::string("declassify") + "_";
   std::size_t pos = 0;
   while ((pos = code.find(prefix, pos)) != std::string::npos) {
-    if (pos > 0 && is_ident(code[pos - 1])) {
+    if (pos > 0 && is_ident_char(code[pos - 1])) {
       pos += prefix.size();
       continue;
     }
     std::size_t end = pos;
-    while (end < code.size() && is_ident(code[end])) ++end;
+    while (end < code.size() && is_ident_char(code[end])) ++end;
     refs.push_back(code.substr(pos, end - pos));
     pos = end;
   }
@@ -586,35 +534,37 @@ std::vector<std::string> decl_refs_on(const std::string& code) {
 // Per-file scan.
 // ---------------------------------------------------------------------------
 
-void scan_file(const fs::path& path, const Options& opts,
-               std::vector<Finding>& findings, std::vector<Unit>& units) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "pprox_lint: cannot read " << path << "\n";
-    std::exit(2);
-  }
-  std::vector<std::string> raw;
-  std::string line;
-  while (std::getline(in, line)) raw.push_back(line);
+/// Line-free key of a crypto/flow finding: rule|file|what fired (a symbol,
+/// call, token, header or local name).
+cg::Finding line_finding(const std::string& rule, const std::string& path,
+                         std::size_t line, const std::string& detail,
+                         std::string message) {
+  return {rule, rule + "|" + fs::path(path).filename().string() + "|" + detail,
+          path, line, std::move(message), ""};
+}
+
+/// Appended to the message of every line-suppressible finding.
+std::string suppress_hint(const std::string& rule) {
+  return " (suppress: // pprox-lint: " "allow(" + rule + "): <why>)";
+}
+
+void scan_file(const cg::Source& src, bool flow,
+               std::vector<cg::Finding>& findings, std::vector<Unit>& units) {
+  const fs::path path(src.path);
+  const std::vector<std::string>& raw = src.raw;
   const std::vector<std::string> code = code_lines(raw);
 
   const std::string generic = path.generic_string();
   const bool is_source = path.extension() == ".cpp";
-  bool from_marker = false;
-  const std::string layer = detect_layer(path, raw, &from_marker);
+  const std::string layer = detect_layer(path, raw);
+  units.push_back({src.path, layer, quoted_includes(raw)});
 
-  Unit unit;
-  unit.path = path.string();
-  unit.layer = layer;
-  unit.layer_from_marker = from_marker;
-  unit.includes = quoted_includes(raw);
-  units.push_back(unit);
-
-  if (opts.flow && kKnownLayers.count(layer) == 0) {
-    findings.push_back({path.string(), 1, "flow-layer",
-                        "unknown layer '" + layer +
-                            "' (expected ua, ia, client, lrs, shared, "
-                            "attack, vocab, or tooling)"});
+  if (flow && kKnownLayers.count(layer) == 0) {
+    findings.push_back(line_finding(
+        "flow-layer", src.path, 1, "layer " + layer,
+        "unknown layer '" + layer +
+            "' (expected ua, ia, client, lrs, shared, attack, vocab, or "
+            "tooling)"));
   }
 
   const bool in_crypto = generic.find("src/crypto/") != std::string::npos;
@@ -627,32 +577,28 @@ void scan_file(const fs::path& path, const Options& opts,
   std::vector<KeyDecl> live_decls;
 
   for (std::size_t i = 0; i < code.size(); ++i) {
-    bool bare = false;
-    const std::set<std::string> allowed = suppressions_on(raw[i], &bare);
-    const auto report = [&](const std::string& rule, const std::string& msg) {
-      if (allowed.count(rule) != 0) return;
-      findings.push_back({path.string(), i + 1, rule, msg});
+    const auto sit = src.suppressions.find(i + 1);
+    const unsigned allowed = sit == src.suppressions.end() ? 0 : sit->second;
+    const auto report = [&](const std::string& rule, const std::string& detail,
+                            const std::string& msg) {
+      if ((allowed & rule_bit(rule)) != 0) return;
+      findings.push_back(line_finding(rule, src.path, i + 1, detail,
+                                      msg + suppress_hint(rule)));
     };
-
-    // Rule: bare-suppression ---------------------------------------------
-    if (bare) {
-      report("bare-suppression",
-             "inline suppression without a justification; write "
-             "allow(<rule>): <why>");
-    }
 
     // Rule: rand --------------------------------------------------------
     for (const char* fn : {"rand", "srand", "rand_r", "random", "drand48"}) {
       if (has_call(code[i], fn)) {
-        report("rand", std::string(fn) +
-                           "() is not a CSPRNG; use pprox::crypto::Drbg / "
-                           "RandomSource for anything observable");
+        report("rand", fn,
+               std::string(fn) +
+                   "() is not a CSPRNG; use pprox::crypto::Drbg / "
+                   "RandomSource for anything observable");
       }
     }
 
     // Rule: memcmp ------------------------------------------------------
     if (has_call(code[i], "memcmp")) {
-      report("memcmp",
+      report("memcmp", "memcmp",
              "memcmp leaks a matching-prefix timing signal; compare tags/"
              "keys/pseudonyms with pprox::crypto::ct_equal");
     }
@@ -678,7 +624,7 @@ void scan_file(const fs::path& path, const Options& opts,
       };
       for (const char* token : kRawSync) {
         if (has_qualified(code[i], token)) {
-          report("raw-sync",
+          report("raw-sync", token,
                  std::string(token) +
                      " bypasses the deterministic scheduler; use "
                      "pprox::Mutex/CondVar/Atomic/DetThread from "
@@ -706,7 +652,7 @@ void scan_file(const fs::path& path, const Options& opts,
       if (code[i].find("#include") != std::string::npos) {
         for (const char* hdr : kIntrinsicHeaders) {
           if (code[i].find(hdr) != std::string::npos) {
-            report("intrinsics",
+            report("intrinsics", hdr,
                    std::string("#include <") + hdr +
                        "> outside the dispatch TUs; hardware kernels belong "
                        "in crypto/accel_x86.cpp behind the accel.hpp "
@@ -721,7 +667,7 @@ void scan_file(const fs::path& path, const Options& opts,
       };
       for (const char* token : kIntrinsicTokens) {
         if (code[i].find(token) != std::string::npos) {
-          report("intrinsics",
+          report("intrinsics", token,
                  std::string("intrinsic token '") + token +
                      "' outside the dispatch TUs; route hardware paths "
                      "through crypto/accel.hpp so portable builds and "
@@ -741,7 +687,7 @@ void scan_file(const fs::path& path, const Options& opts,
         --end;
       }
       std::size_t begin = end;
-      while (begin > 0 && is_ident(code[i][begin - 1])) --begin;
+      while (begin > 0 && is_ident_char(code[i][begin - 1])) --begin;
       const std::string table = code[i].substr(begin, end - begin);
       const bool sbox_like =
           table.size() > 1 && table[0] == 'k' &&
@@ -750,7 +696,7 @@ void scan_file(const fs::path& path, const Options& opts,
       if (sbox_like) {
         const std::string expr = index_expr(code[i], pos);
         if (!is_constant_index(expr)) {
-          report("secret-index",
+          report("secret-index", table + "[" + expr + "]",
                  table + "[" + expr +
                      "]: data-dependent S-box lookup is a cache side "
                      "channel; use a constant-time implementation or "
@@ -763,7 +709,7 @@ void scan_file(const fs::path& path, const Options& opts,
     // Rule: secure-wipe (function locals in .cpp files only) ------------
     if (is_source) {
       for (const std::string& name : key_decl_names(code[i], in_crypto)) {
-        if (allowed.count("secure-wipe") != 0) continue;
+        if ((allowed & rule_bit("secure-wipe")) != 0) continue;
         live_decls.push_back({name, i + 1, depth + /*opens its scope*/ 0});
       }
       if (code[i].find("secure_wipe") != std::string::npos) {
@@ -778,11 +724,12 @@ void scan_file(const fs::path& path, const Options& opts,
           for (auto it = live_decls.begin(); it != live_decls.end();) {
             if (it->depth > depth && depth >= 0) {
               if (!it->wiped && it->depth > 0) {
-                findings.push_back(
-                    {path.string(), it->line, "secure-wipe",
-                     "key material '" + it->name +
-                         "' leaves scope without secure_wipe(); stack "
-                         "copies of keys outlive the call otherwise"});
+                findings.push_back(line_finding(
+                    "secure-wipe", src.path, it->line, it->name,
+                    "key material '" + it->name +
+                        "' leaves scope without secure_wipe(); stack "
+                        "copies of keys outlive the call otherwise" +
+                        suppress_hint("secure-wipe")));
               }
               it = live_decls.erase(it);
             } else {
@@ -793,13 +740,13 @@ void scan_file(const fs::path& path, const Options& opts,
       }
     }
 
-    if (!opts.flow) continue;
+    if (!flow) continue;
 
     // Rule: flow-layer (symbol references) ------------------------------
     if (layer == "ua") {
       for (const std::string& sym : kItemPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "UA-layer unit references item-plaintext symbol '" + sym +
                      "'; the User Anonymizer must never observe item "
                      "identifiers (paper §4.2)");
@@ -808,7 +755,7 @@ void scan_file(const fs::path& path, const Options& opts,
     } else if (layer == "ia") {
       for (const std::string& sym : kUserPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "IA-layer unit references user-plaintext symbol '" + sym +
                      "'; the Item Anonymizer must never observe user "
                      "identities (paper §4.2)");
@@ -817,7 +764,7 @@ void scan_file(const fs::path& path, const Options& opts,
     } else if (layer == "shared") {
       for (const std::string& sym : kUserPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "shared unit references user-plaintext symbol '" + sym +
                      "'; hosts move ciphertext only — route plaintext "
                      "through a ua/ia/client-layer unit");
@@ -825,34 +772,34 @@ void scan_file(const fs::path& path, const Options& opts,
       }
       for (const std::string& sym : kItemPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "shared unit references item-plaintext symbol '" + sym +
                      "'; hosts move ciphertext only — route plaintext "
                      "through a ua/ia/client-layer unit");
         }
       }
       if (!decl_refs_on(code[i]).empty()) {
-        report("flow-layer",
+        report("flow-layer", "declassifier",
                "shared unit calls a declassifier; only ua/ia/client/vocab "
                "units may release sensitive values");
       }
     } else if (layer == "lrs") {
       for (const std::string& sym : kUserPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "LRS unit references user-plaintext symbol '" + sym +
                      "'; the LRS may only consume PseudonymDomain values");
         }
       }
       for (const std::string& sym : kItemPlaintextSyms) {
         if (has_word(code[i], sym)) {
-          report("flow-layer",
+          report("flow-layer", sym,
                  "LRS unit references item-plaintext symbol '" + sym +
                      "'; the LRS may only consume PseudonymDomain values");
         }
       }
       if (!decl_refs_on(code[i]).empty()) {
-        report("flow-layer",
+        report("flow-layer", "declassifier",
                "LRS unit calls a declassifier; declassification happens "
                "before data reaches the LRS, never inside it");
       }
@@ -870,13 +817,13 @@ void scan_file(const fs::path& path, const Options& opts,
         justified = raw[i - back].find(just) != std::string::npos;
       }
       if (!justified) {
-        report("flow-declassify",
+        report("flow-declassify", refs.front(),
                "declassify call site without a " + just +
                    " justification comment (see DESIGN.md §8.4)");
       }
       for (const std::string& ref : refs) {
         if (ref == "declassify_for_test" && !in_test_tree) {
-          report("flow-test-declassify",
+          report("flow-test-declassify", ref,
                  "declassify_for_test is a test-only escape hatch; src/ and "
                  "tools/ must use a purpose-named declassifier");
         }
@@ -885,7 +832,7 @@ void scan_file(const fs::path& path, const Options& opts,
 
     // Rule: flow-internal ------------------------------------------------
     if (!in_taint_core && has_word(code[i], "UnsafeRawAccess")) {
-      report("flow-internal",
+      report("flow-internal", "UnsafeRawAccess",
              "UnsafeRawAccess is reserved for common/taint.hpp; use a "
              "declassify_* function or a taint:: combinator");
     }
@@ -923,7 +870,7 @@ std::set<std::string> reachable_includes(const Unit& start,
 }
 
 void check_include_graph(const std::vector<Unit>& units,
-                         std::vector<Finding>& findings) {
+                         std::vector<cg::Finding>& findings) {
   for (const Unit& unit : units) {
     const std::vector<std::string>* banned = nullptr;
     const char* why = nullptr;
@@ -941,117 +888,11 @@ void check_include_graph(const std::vector<Unit>& units,
     const std::set<std::string> reach = reachable_includes(unit, units);
     for (const std::string& ban : *banned) {
       if (reach.count(ban) != 0) {
-        findings.push_back({unit.path, 1, "flow-layer",
-                            std::string(why) + ": " + ban});
+        findings.push_back(line_finding("flow-layer", unit.path, 1, ban,
+                                        std::string(why) + ": " + ban));
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Output & baseline.
-// ---------------------------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
-std::map<std::string, std::size_t> rule_totals(
-    const std::vector<Finding>& findings) {
-  std::map<std::string, std::size_t> totals;
-  for (const Finding& f : findings) ++totals[f.rule];
-  return totals;
-}
-
-void print_json(const std::vector<Finding>& findings,
-                const std::vector<Unit>& units, const Options& opts) {
-  const auto totals = rule_totals(findings);
-  std::cout << "{\n  \"files\": " << units.size() << ",\n  \"flow\": "
-            << (opts.flow ? "true" : "false") << ",\n  \"total\": "
-            << findings.size() << ",\n  \"totals\": {";
-  bool first = true;
-  for (const auto& [rule, count] : totals) {
-    std::cout << (first ? "" : ", ") << "\"" << rule << "\": " << count;
-    first = false;
-  }
-  std::cout << "},\n  \"findings\": [";
-  first = true;
-  for (const Finding& f : findings) {
-    std::cout << (first ? "" : ",") << "\n    {\"path\": \""
-              << json_escape(f.path) << "\", \"line\": " << f.line
-              << ", \"rule\": \"" << f.rule << "\", \"message\": \""
-              << json_escape(f.message) << "\"}";
-    first = false;
-  }
-  std::cout << (first ? "" : "\n  ") << "],\n  \"units\": [";
-  first = true;
-  for (const Unit& u : units) {
-    std::cout << (first ? "" : ",") << "\n    {\"path\": \""
-              << json_escape(u.path) << "\", \"layer\": \"" << u.layer
-              << "\", \"marker\": " << (u.layer_from_marker ? "true" : "false")
-              << ", \"includes\": [";
-    bool f2 = true;
-    for (const std::string& inc : u.includes) {
-      std::cout << (f2 ? "" : ", ") << "\"" << json_escape(inc) << "\"";
-      f2 = false;
-    }
-    std::cout << "]}";
-    first = false;
-  }
-  std::cout << (first ? "" : "\n  ") << "]\n}\n";
-}
-
-/// Parses the "totals" object of a baseline file (the lint's own --json
-/// output, or a hand-written {"totals": {"rule": N, ...}}). Deliberately
-/// tiny: scans `"name": number` pairs inside the totals braces.
-bool parse_baseline(const std::string& path,
-                    std::map<std::string, std::size_t>& totals) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::size_t anchor = text.find("\"totals\"");
-  if (anchor == std::string::npos) return false;
-  const std::size_t open = text.find('{', anchor);
-  const std::size_t close = text.find('}', open);
-  if (open == std::string::npos || close == std::string::npos) return false;
-  std::size_t pos = open + 1;
-  while (pos < close) {
-    const std::size_t q1 = text.find('"', pos);
-    if (q1 == std::string::npos || q1 >= close) break;
-    const std::size_t q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos || q2 >= close) break;
-    const std::string rule = text.substr(q1 + 1, q2 - q1 - 1);
-    std::size_t num = text.find(':', q2);
-    if (num == std::string::npos || num >= close) break;
-    ++num;
-    while (num < close &&
-           std::isspace(static_cast<unsigned char>(text[num])) != 0) {
-      ++num;
-    }
-    std::size_t value = 0;
-    bool any = false;
-    while (num < close && std::isdigit(static_cast<unsigned char>(text[num]))) {
-      value = value * 10 + static_cast<std::size_t>(text[num] - '0');
-      ++num;
-      any = true;
-    }
-    if (!any) return false;
-    totals[rule] = value;
-    pos = num;
-  }
-  return true;
 }
 
 void collect(const fs::path& root, std::vector<fs::path>& files) {
@@ -1075,10 +916,39 @@ void collect(const fs::path& root, std::vector<fs::path>& files) {
   }
 }
 
+/// The line-local crypto rules, plus the flow rules when `flow` is set.
+int run_line_rules(const cg::Options& opts, bool flow) {
+  const cg::PassSpec spec{
+      .mode = flow ? "flow" : "crypto",
+      .anchor = "lint",
+      .what = flow ? "crypto/flow" : "crypto",
+      // Split so this file never matches its own scanner.
+      .marker = std::string("pprox-lint: ") + "allow(",
+      .from_name = &rule_bit,
+      .bare_rule = "bare-suppression",
+      .bare_message = "inline suppression without a justification; write "
+                      "allow(<rule>): <why> (the bare form suppresses "
+                      "nothing)",
+      .default_why = "baselined pre-existing violation; shrink, do not grow "
+                     "(DESIGN.md §7.3)"};
+  std::vector<cg::Source> sources;
+  std::vector<cg::Finding> findings;
+  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
+  std::vector<Unit> units;
+  for (const cg::Source& src : sources) scan_file(src, flow, findings, units);
+  if (flow) check_include_graph(units, findings);
+  return cg::report(spec, opts, findings, sources.size());
+}
+
+int run_crypto(const cg::Options& opts) { return run_line_rules(opts, false); }
+int run_flow(const cg::Options& opts) { return run_line_rules(opts, true); }
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
+  cg::Options opts;
+  int (*run)(const cg::Options&) = &run_crypto;
+  bool list_rules = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -1105,37 +975,36 @@ int main(int argc, char** argv) {
              "          // PPROX-LOCKS-OK(<aspect>): <why>    (locks)\n"
              "          // PPROX-CT-OK(<aspect>): <why>       (ct)\n"
              "          // PPROX-LIFETIME-OK(<aspect>): <why> (lifetime)\n"
-             "--json prints findings, per-rule totals, and the per-unit "
-             "layer/include graph\n"
-             "--baseline compares against FILE and fails only on regressions "
-             "(per-rule totals; per-violation keys with --hotpath/--locks)\n"
+             "--json prints the findings with their line-free keys\n"
+             "--baseline compares finding keys against FILE and fails only "
+             "on keys it does not list\n"
              "--baseline-write regenerates FILE from the current findings "
              "and exits 0\n"
              "--list-rules prints the rule table and exits\n";
       return 0;
     }
     if (arg == "--list-rules") {
-      opts.list_rules = true;
+      list_rules = true;
       continue;
     }
     if (arg == "--flow") {
-      opts.flow = true;
+      run = &run_flow;
       continue;
     }
     if (arg == "--hotpath") {
-      opts.hotpath = true;
+      run = &hotpath::run;
       continue;
     }
     if (arg == "--locks") {
-      opts.locks = true;
+      run = &locks::run;
       continue;
     }
     if (arg == "--ct") {
-      opts.ct = true;
+      run = &ct::run;
       continue;
     }
     if (arg == "--lifetime") {
-      opts.lifetime = true;
+      run = &lifetime::run;
       continue;
     }
     if (arg == "--json") {
@@ -1165,7 +1034,7 @@ int main(int argc, char** argv) {
     }
     collect(arg, opts.inputs);
   }
-  if (opts.list_rules) {
+  if (list_rules) {
     // One consolidated table across all passes: pass, rule, suppression
     // token, baseline file, then the summary indented on its own line (the
     // summaries are full sentences; a fifth column would wrap badly).
@@ -1195,128 +1064,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::sort(opts.inputs.begin(), opts.inputs.end());
-
-  if (opts.hotpath) {
-    hotpath::Options hopts;
-    hopts.json = opts.json;
-    hopts.baseline = opts.baseline;
-    hopts.baseline_write = opts.baseline_write;
-    hopts.inputs = opts.inputs;
-    return hotpath::run(hopts);
-  }
-  if (opts.locks) {
-    locks::Options lopts;
-    lopts.json = opts.json;
-    lopts.baseline = opts.baseline;
-    lopts.baseline_write = opts.baseline_write;
-    lopts.inputs = opts.inputs;
-    return locks::run(lopts);
-  }
-  if (opts.ct) {
-    ct::Options copts;
-    copts.json = opts.json;
-    copts.baseline = opts.baseline;
-    copts.baseline_write = opts.baseline_write;
-    copts.inputs = opts.inputs;
-    return ct::run(copts);
-  }
-  if (opts.lifetime) {
-    lifetime::Options lfopts;
-    lfopts.json = opts.json;
-    lfopts.baseline = opts.baseline;
-    lfopts.baseline_write = opts.baseline_write;
-    lfopts.inputs = opts.inputs;
-    return lifetime::run(lfopts);
-  }
-
-  std::vector<Finding> findings;
-  std::vector<Unit> units;
-  for (const fs::path& f : opts.inputs) scan_file(f, opts, findings, units);
-  if (opts.flow) check_include_graph(units, findings);
-
-  std::stable_sort(findings.begin(), findings.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return std::tie(a.path, a.line) < std::tie(b.path, b.line);
-                   });
-
-  if (opts.json) {
-    print_json(findings, units, opts);
-  } else {
-    for (const Finding& f : findings) {
-      std::cerr << f.path << ":" << f.line << ": [" << f.rule << "] "
-                << f.message << " (suppress: // pprox-lint: allow(" << f.rule
-                << "): <why>)\n";
-    }
-  }
-
-  if (!opts.baseline_write.empty()) {
-    // Regenerate a totals-format baseline from the current findings so the
-    // ratchet can be tightened without hand-editing JSON.
-    std::ofstream out(opts.baseline_write);
-    if (!out) {
-      std::cerr << "pprox_lint: cannot write baseline " << opts.baseline_write
-                << "\n";
-      return 2;
-    }
-    const auto totals = rule_totals(findings);
-    out << "{\n  \"totals\": {";
-    bool first = true;
-    for (const RuleDoc& doc : kRuleDocs) {
-      const auto it = totals.find(doc.name);
-      const std::string pass = doc.pass;
-      if (pass != "crypto" && pass != "flow") {
-        continue;  // call-graph passes live in their key-based baselines
-      }
-      out << (first ? "" : ",") << "\n    \"" << doc.name
-          << "\": " << (it == totals.end() ? 0 : it->second);
-      first = false;
-    }
-    out << "\n  }\n}\n";
-    std::cout << "pprox_lint: wrote per-rule totals baseline to "
-              << opts.baseline_write << " (" << findings.size()
-              << " finding(s))\n";
-    return 0;
-  }
-
-  if (!opts.baseline.empty()) {
-    std::map<std::string, std::size_t> base;
-    if (!parse_baseline(opts.baseline, base)) {
-      std::cerr << "pprox_lint: cannot parse baseline " << opts.baseline
-                << "\n";
-      return 2;
-    }
-    const auto totals = rule_totals(findings);
-    bool regressed = false;
-    for (const auto& [rule, count] : totals) {
-      const std::size_t allowed_count =
-          base.count(rule) != 0 ? base.at(rule) : 0;
-      if (count > allowed_count) {
-        std::cerr << "pprox_lint: REGRESSION: rule '" << rule << "' has "
-                  << count << " finding(s), baseline allows " << allowed_count
-                  << "\n";
-        regressed = true;
-      } else if (count < allowed_count) {
-        std::cerr << "pprox_lint: note: rule '" << rule << "' improved to "
-                  << count << " (baseline " << allowed_count
-                  << ") — consider tightening the baseline\n";
-      }
-    }
-    if (regressed) return 1;
-    if (!opts.json) {
-      std::cout << "pprox_lint: " << units.size()
-                << " file(s) within baseline (" << findings.size()
-                << " finding(s))\n";
-    }
-    return 0;
-  }
-
-  if (!findings.empty()) {
-    std::cerr << findings.size() << " finding(s) in " << units.size()
-              << " file(s)\n";
-    return 1;
-  }
-  if (!opts.json) {
-    std::cout << "pprox_lint: " << units.size() << " file(s) clean\n";
-  }
-  return 0;
+  return run(opts);
 }

@@ -36,21 +36,15 @@
 // reports through it disappear with the same justification. Baseline
 // ratchet: --baseline tools/ct_baseline.json; keys are line-free
 // rule|root|leaf|token. Exit 0/1/2 as usual.
-#include "ct_pass.hpp"
+#include "lint_passes.hpp"
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "lint_callgraph.hpp"
-
-namespace fs = std::filesystem;
 
 namespace ct {
 namespace {
@@ -278,7 +272,6 @@ struct Pass {
   std::vector<FnData> data;
   std::map<std::string, std::vector<int>> by_last;
   std::set<std::string> secret_decl_names;
-  std::vector<Finding> bare_findings;
   std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
 };
 
@@ -1098,57 +1091,43 @@ bool update_summary(Pass& p, int fi,
 
 }  // namespace
 
-int run(const Options& opts) {
+int run(const cg::Options& opts) {
+  const cg::PassSpec spec{
+      .mode = "ct",
+      .anchor = "ct",
+      .what = "constant-time",
+      // Split so this tool's own sources never self-match.
+      .marker = std::string("PPROX-CT-") + "OK(",
+      .from_name = &aspect_from_name,
+      .bare_rule = "ct-bare-suppression",
+      .bare_message = "constant-time suppression without a justification; "
+                      "write PPROX-CT-" "OK(<aspect>): <why> (the bare form "
+                      "suppresses nothing)",
+      .default_why = "baselined pre-existing secret-dependent timing; shrink, "
+                     "do not grow (DESIGN.md §13)"};
+  std::vector<cg::Source> sources;
+  std::vector<Finding> findings;
+  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
   Pass p;
-  std::size_t files = 0;
-  // The marker is split so this tool's own sources never self-match.
-  const std::string marker = std::string("PPROX-CT-") + "OK(";
-  for (const fs::path& path : opts.inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "pprox_lint: cannot read " << path << "\n";
-      return 2;
-    }
-    std::vector<std::string> raw;
-    std::string line;
-    while (std::getline(in, line)) raw.push_back(line);
-    ++files;
-
-    const auto supp = cg::scan_suppressions(raw, marker, &aspect_from_name);
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) continue;
-      Finding f;
-      f.rule = "ct-bare-suppression";
-      f.key = std::string("ct-bare-suppression|") + path.filename().string() +
-              "|" + std::to_string(ln);
-      f.path = path.string();
-      f.line = ln;
-      f.chain = "";
-      f.message =
-          "constant-time suppression without a justification; write "
-          "PPROX-CT-" "OK(<aspect>): <why> (the bare form suppresses "
-          "nothing)";
-      p.bare_findings.push_back(std::move(f));
-    }
+  for (const cg::Source& src : sources) {
     // A suppression on a comment-only line anchors forward to the next code
     // line, so a multi-line justification block above the sink still lands
     // on it; a trailing suppression anchors to its own line.
-    const auto comment_only = [&raw](std::size_t ln) {
-      if (ln == 0 || ln > raw.size()) return false;
-      const std::string& l = raw[ln - 1];
+    const auto comment_only = [&src](std::size_t ln) {
+      if (ln == 0 || ln > src.raw.size()) return false;
+      const std::string& l = src.raw[ln - 1];
       const std::size_t at = l.find_first_not_of(" \t");
       return at != std::string::npos && l.compare(at, 2, "//") == 0;
     };
-    for (const auto& [ln, s] : supp) {
-      if (s.bare) continue;
+    for (const auto& [ln, aspects] : src.suppressions) {
       std::size_t anchor = ln;
       if (comment_only(ln)) {
-        while (anchor < raw.size() && comment_only(anchor + 1)) ++anchor;
+        while (anchor < src.raw.size() && comment_only(anchor + 1)) ++anchor;
         ++anchor;  // first non-comment line below the block
       }
-      p.line_suppressions[path.string()][anchor] |= s.effects;
+      p.line_suppressions[src.path][anchor] |= aspects;
     }
-    p.g.add_tu(path.string(), cg::tokenize(cg::code_lines(raw)));
+    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
   }
 
   p.g.merge_decl_annotations();
@@ -1181,7 +1160,6 @@ int run(const Options& opts) {
   // taint chain in the message. Fixing or justifying the sink resolves
   // every path through it; the alternative — one key per root — explodes
   // a single leaky helper into dozens of baseline entries.
-  std::vector<Finding> findings = std::move(p.bare_findings);
   for (std::size_t fi = 0; fi < p.g.fns.size(); ++fi) {
     const cg::Fn& fn = p.g.fns[fi];
     for (const auto& [key, ev] : p.data[fi].events) {
@@ -1231,18 +1209,7 @@ int run(const Options& opts) {
   }
   findings = std::move(unique);
 
-  cg::ReportSpec spec;
-  spec.mode = "ct";
-  spec.anchor = "ct";
-  spec.what = "constant-time";
-  spec.bare_rule = "ct-bare-suppression";
-  spec.default_why =
-      "baselined pre-existing secret-dependent timing; shrink, do not grow "
-      "(DESIGN.md §13)";
-  spec.json = opts.json;
-  spec.baseline = opts.baseline;
-  spec.baseline_write = opts.baseline_write;
-  return cg::report(spec, findings, files);
+  return cg::report(spec, opts, findings, sources.size());
 }
 
 }  // namespace ct

@@ -41,20 +41,14 @@
 // edits) against tools/hotpath_baseline.json; only new keys fail, stale
 // keys are reported so the baseline can shrink. --baseline-write FILE
 // regenerates the file, carrying over existing "why" justifications.
-#include "hotpath_pass.hpp"
+#include "lint_passes.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <queue>
 #include <set>
 #include <string>
 #include <vector>
-
-#include "lint_callgraph.hpp"
-
-namespace fs = std::filesystem;
 
 namespace hotpath {
 namespace {
@@ -119,7 +113,6 @@ struct Info {
 struct Pass {
   cg::Graph g;
   std::vector<Info> info;
-  std::vector<Finding> bare_findings;
   /// file -> line -> suppressed-effects mask. Kept past extraction because
   /// recursion leaves are minted in mark_recursion and anchor to the
   /// definition line.
@@ -574,42 +567,27 @@ void collect_findings(const Pass& p, std::vector<Finding>& findings) {
 
 }  // namespace
 
-int run(const Options& opts) {
+int run(const cg::Options& opts) {
+  const cg::PassSpec spec{
+      .mode = "hotpath",
+      .anchor = "hotpath",
+      .what = "hot-path",
+      // Split so this tool's own sources never self-match.
+      .marker = std::string("PPROX-HOTPATH-") + "OK(",
+      .from_name = &effect_from_name,
+      .bare_rule = "hotpath-bare-suppression",
+      .bare_message = "hot-path suppression without a justification; write "
+                      "PPROX-HOTPATH-" "OK(<effect>): <why> (the bare form "
+                      "suppresses nothing)",
+      .default_why = "baselined pre-existing violation; shrink, do not grow "
+                     "(DESIGN.md §11.4)"};
+  std::vector<cg::Source> sources;
+  std::vector<Finding> findings;
+  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
   Pass p;
-  std::size_t files = 0;
-  // The marker is split so this tool's own sources never self-match.
-  const std::string marker = std::string("PPROX-HOTPATH-") + "OK(";
-  for (const fs::path& path : opts.inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "pprox_lint: cannot read " << path << "\n";
-      return 2;
-    }
-    std::vector<std::string> raw;
-    std::string line;
-    while (std::getline(in, line)) raw.push_back(line);
-    ++files;
-
-    const auto supp = cg::scan_suppressions(raw, marker, &effect_from_name);
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) continue;
-      Finding f;
-      f.rule = "hotpath-bare-suppression";
-      f.key = std::string("hotpath-bare-suppression|") +
-              path.filename().string() + "|" + std::to_string(ln);
-      f.path = path.string();
-      f.line = ln;
-      f.chain = "";
-      f.message =
-          "hot-path suppression without a justification; write "
-          "PPROX-HOTPATH-" "OK(<effect>): <why> (the bare form suppresses "
-          "nothing)";
-      p.bare_findings.push_back(std::move(f));
-    }
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) p.line_suppressions[path.string()][ln] |= s.effects;
-    }
-    p.g.add_tu(path.string(), cg::tokenize(cg::code_lines(raw)));
+  for (const cg::Source& src : sources) {
+    p.line_suppressions[src.path] = src.suppressions;
+    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
   }
 
   p.g.merge_decl_annotations();
@@ -619,21 +597,9 @@ int run(const Options& opts) {
   mark_recursion(p);
   propagate(p);
 
-  std::vector<Finding> findings = std::move(p.bare_findings);
   collect_findings(p, findings);
 
-  cg::ReportSpec spec;
-  spec.mode = "hotpath";
-  spec.anchor = "hotpath";
-  spec.what = "hot-path";
-  spec.bare_rule = "hotpath-bare-suppression";
-  spec.default_why =
-      "baselined pre-existing violation; shrink, do not grow (DESIGN.md "
-      "§11.4)";
-  spec.json = opts.json;
-  spec.baseline = opts.baseline;
-  spec.baseline_write = opts.baseline_write;
-  return cg::report(spec, findings, files);
+  return cg::report(spec, opts, findings, sources.size());
 }
 
 }  // namespace hotpath

@@ -48,18 +48,14 @@
 // nothing. Baseline ratchet: --baseline FILE compares finding keys against
 // tools/lifetime_baseline.json; only new keys fail. --baseline-write FILE
 // regenerates the file, carrying over existing "why" justifications.
-#include "lifetime_pass.hpp"
+#include "lint_passes.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "lint_callgraph.hpp"
 
 namespace fs = std::filesystem;
 
@@ -267,7 +263,6 @@ struct Pass {
   cg::Graph g;
   std::vector<FnData> data;
   std::vector<Finding> direct_findings;
-  std::vector<Finding> bare_findings;
   std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
   /// Member names declared with a view type / a callable type anywhere in
   /// scope: assignment to one of these stores the RHS as-is.
@@ -1327,42 +1322,27 @@ void collect_call_findings(const Pass& p, std::vector<Finding>& findings) {
 
 }  // namespace
 
-int run(const Options& opts) {
+int run(const cg::Options& opts) {
+  const cg::PassSpec spec{
+      .mode = "lifetime",
+      .anchor = "lifetime",
+      .what = "lifetime",
+      // Split so this tool's own sources never self-match.
+      .marker = std::string("PPROX-LIFETIME-") + "OK(",
+      .from_name = &aspect_from_name,
+      .bare_rule = "lifetime-bare-suppression",
+      .bare_message = "lifetime suppression without a justification; write "
+                      "PPROX-LIFETIME-" "OK(<aspect>): <why> (the bare form "
+                      "suppresses nothing)",
+      .default_why = "baselined pre-existing violation; shrink, do not grow "
+                     "(DESIGN.md §14.4)"};
+  std::vector<cg::Source> sources;
+  std::vector<Finding> findings;
+  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
   Pass p;
-  std::size_t files = 0;
-  // The marker is split so this tool's own sources never self-match.
-  const std::string marker = std::string("PPROX-LIFETIME-") + "OK(";
-  for (const fs::path& path : opts.inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "pprox_lint: cannot read " << path << "\n";
-      return 2;
-    }
-    std::vector<std::string> raw;
-    std::string line;
-    while (std::getline(in, line)) raw.push_back(line);
-    ++files;
-
-    const auto supp = cg::scan_suppressions(raw, marker, &aspect_from_name);
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) continue;
-      Finding f;
-      f.rule = "lifetime-bare-suppression";
-      f.key = std::string("lifetime-bare-suppression|") +
-              path.filename().string() + "|" + std::to_string(ln);
-      f.path = path.string();
-      f.line = ln;
-      f.chain = "";
-      f.message =
-          "lifetime suppression without a justification; write "
-          "PPROX-LIFETIME-" "OK(<aspect>): <why> (the bare form suppresses "
-          "nothing)";
-      p.bare_findings.push_back(std::move(f));
-    }
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) p.line_suppressions[path.string()][ln] |= s.effects;
-    }
-    p.g.add_tu(path.string(), cg::tokenize(cg::code_lines(raw)));
+  for (const cg::Source& src : sources) {
+    p.line_suppressions[src.path] = src.suppressions;
+    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
   }
 
   p.g.merge_decl_annotations();
@@ -1371,7 +1351,6 @@ int run(const Options& opts) {
   resolve_calls(p);
   propagate_summaries(p);
 
-  std::vector<Finding> findings = std::move(p.bare_findings);
   for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
   collect_call_findings(p, findings);
 
@@ -1383,18 +1362,7 @@ int run(const Options& opts) {
   }
   findings = std::move(unique);
 
-  cg::ReportSpec spec;
-  spec.mode = "lifetime";
-  spec.anchor = "lifetime";
-  spec.what = "lifetime";
-  spec.bare_rule = "lifetime-bare-suppression";
-  spec.default_why =
-      "baselined pre-existing violation; shrink, do not grow (DESIGN.md "
-      "§14.4)";
-  spec.json = opts.json;
-  spec.baseline = opts.baseline;
-  spec.baseline_write = opts.baseline_write;
-  return cg::report(spec, findings, files);
+  return cg::report(spec, opts, findings, sources.size());
 }
 
 }  // namespace lifetime

@@ -40,19 +40,15 @@
 // nothing. Baseline ratchet: --baseline FILE compares finding keys against
 // tools/locks_baseline.json; only new keys fail. --baseline-write FILE
 // regenerates the file, carrying over existing "why" justifications.
-#include "locks_pass.hpp"
+#include "lint_passes.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <queue>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "lint_callgraph.hpp"
 
 namespace fs = std::filesystem;
 
@@ -237,7 +233,6 @@ struct Pass {
   cg::Graph g;
   std::vector<FnData> data;
   std::vector<Finding> direct_findings;  ///< manual + nopred, minted in walk
-  std::vector<Finding> bare_findings;
   std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
   std::set<std::string> mutex_names;  ///< declared mutex variable names
   std::set<std::string> cv_names;     ///< declared CondVar variable names
@@ -1032,42 +1027,27 @@ void collect_order_findings(const Pass& p, std::vector<Finding>& findings) {
 
 }  // namespace
 
-int run(const Options& opts) {
+int run(const cg::Options& opts) {
+  const cg::PassSpec spec{
+      .mode = "locks",
+      .anchor = "locks",
+      .what = "lock-discipline",
+      // Split so this tool's own sources never self-match.
+      .marker = std::string("PPROX-LOCKS-") + "OK(",
+      .from_name = &aspect_from_name,
+      .bare_rule = "locks-bare-suppression",
+      .bare_message = "lock-discipline suppression without a justification; "
+                      "write PPROX-LOCKS-" "OK(<aspect>): <why> (the bare "
+                      "form suppresses nothing)",
+      .default_why = "baselined pre-existing violation; shrink, do not grow "
+                     "(DESIGN.md §12.5)"};
+  std::vector<cg::Source> sources;
+  std::vector<Finding> findings;
+  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
   Pass p;
-  std::size_t files = 0;
-  // The marker is split so this tool's own sources never self-match.
-  const std::string marker = std::string("PPROX-LOCKS-") + "OK(";
-  for (const fs::path& path : opts.inputs) {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "pprox_lint: cannot read " << path << "\n";
-      return 2;
-    }
-    std::vector<std::string> raw;
-    std::string line;
-    while (std::getline(in, line)) raw.push_back(line);
-    ++files;
-
-    const auto supp = cg::scan_suppressions(raw, marker, &aspect_from_name);
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) continue;
-      Finding f;
-      f.rule = "locks-bare-suppression";
-      f.key = std::string("locks-bare-suppression|") +
-              path.filename().string() + "|" + std::to_string(ln);
-      f.path = path.string();
-      f.line = ln;
-      f.chain = "";
-      f.message =
-          "lock-discipline suppression without a justification; write "
-          "PPROX-LOCKS-" "OK(<aspect>): <why> (the bare form suppresses "
-          "nothing)";
-      p.bare_findings.push_back(std::move(f));
-    }
-    for (const auto& [ln, s] : supp) {
-      if (!s.bare) p.line_suppressions[path.string()][ln] |= s.effects;
-    }
-    p.g.add_tu(path.string(), cg::tokenize(cg::code_lines(raw)));
+  for (const cg::Source& src : sources) {
+    p.line_suppressions[src.path] = src.suppressions;
+    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
   }
 
   p.g.merge_decl_annotations();
@@ -1077,7 +1057,6 @@ int run(const Options& opts) {
   init_summaries(p);
   propagate_summaries(p);
 
-  std::vector<Finding> findings = std::move(p.bare_findings);
   for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
   collect_held_findings(p, findings);
   collect_order_findings(p, findings);
@@ -1090,18 +1069,7 @@ int run(const Options& opts) {
   }
   findings = std::move(unique);
 
-  cg::ReportSpec spec;
-  spec.mode = "locks";
-  spec.anchor = "locks";
-  spec.what = "lock-discipline";
-  spec.bare_rule = "locks-bare-suppression";
-  spec.default_why =
-      "baselined pre-existing violation; shrink, do not grow (DESIGN.md "
-      "§12.5)";
-  spec.json = opts.json;
-  spec.baseline = opts.baseline;
-  spec.baseline_write = opts.baseline_write;
-  return cg::report(spec, findings, files);
+  return cg::report(spec, opts, findings, sources.size());
 }
 
 }  // namespace locks
