@@ -23,6 +23,8 @@
 #   scripts/check.sh --model   # pprox_check interleaving exploration only:
 #                              # normal build (models must pass) + selftest
 #                              # build on pre-fix variants (models must fail)
+#                              # and the planted timing leak (ct_bench_selftest
+#                              # must fail)
 #   scripts/check.sh --bench   # regression gate: run bench_crypto /
 #                              # bench_pipeline, compare against the
 #                              # committed BENCH_*.json via bench_report.py
@@ -215,7 +217,10 @@ if [[ "$MODE" == "--model" ]]; then
   #                         the libraries are unchanged). Every model test
   #                         is WILL_FAIL: ctest passes only if pprox_check
   #                         still FINDS every seeded bug. A green selftest
-  #                         proves the checker, not the code.
+  #                         proves the checker, not the code. The same tree
+  #                         builds pprox_ct_bench on its planted early-exit
+  #                         compare; ct_bench_selftest is WILL_FAIL too, so
+  #                         the dudect statistics must still see the leak.
   step "model: exhaustive + PCT exploration (bugs must be absent)"
   cmake -B "$ROOT/build-model" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -223,12 +228,13 @@ if [[ "$MODE" == "--model" ]]; then
   ctest --test-dir "$ROOT/build-model" -R '^model_' \
         --output-on-failure -j "$JOBS"
 
-  step "model selftest: pre-fix variants (bugs must be FOUND)"
+  step "model + ct_bench selftest (planted bugs must be FOUND)"
   cmake -B "$ROOT/build-model-selftest" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
         -DPPROX_CHECK_SELFTEST=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$ROOT/build-model-selftest" -j "$JOBS" --target pprox_check
-  ctest --test-dir "$ROOT/build-model-selftest" -R '^model_' \
-        --output-on-failure -j "$JOBS"
+  cmake --build "$ROOT/build-model-selftest" -j "$JOBS" \
+        --target pprox_check pprox_ct_bench
+  ctest --test-dir "$ROOT/build-model-selftest" \
+        -R '^(model_|ct_bench_selftest$)' --output-on-failure -j "$JOBS"
 
   step "model gate PASSED"
   summary

@@ -47,9 +47,6 @@ class Adversary {
   /// Loot from a breached IA enclave (paper Case 2).
   void steal_ia_secrets(LayerSecrets secrets);
 
-  bool has_ua_secrets() const { return ua_.has_value(); }
-  bool has_ia_secrets() const { return ia_.has_value(); }
-
   /// Case 1(a): decrypt the user identity from an intercepted post.
   /// Requires skUA; fails without UA loot.
   Result<std::string> recover_user(const InterceptedPost& message) const;

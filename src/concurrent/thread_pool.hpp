@@ -105,8 +105,6 @@ class ThreadPool {
     }
   }
 
-  std::size_t num_threads() const { return workers_.size(); }
-
  private:
   void worker_loop() {
     while (true) {

@@ -86,7 +86,6 @@ class BigInt {
 
  private:
   void normalize();
-  static BigInt shift_limbs(const BigInt& v, std::size_t limbs);
 
   std::vector<std::uint32_t> limbs_;  // little-endian, normalized
 };

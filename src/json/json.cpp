@@ -340,12 +340,6 @@ std::string JsonValue::get_string(std::string_view key,
   return fallback;
 }
 
-double JsonValue::get_number(std::string_view key, double fallback) const {
-  const JsonValue* v = find(key);
-  if (v != nullptr && v->is_number()) return v->as_number();
-  return fallback;
-}
-
 std::string JsonValue::dump() const {
   std::string out;
   dump_value(*this, out);

@@ -63,9 +63,6 @@ class JsonValue {
   /// Convenience: string member or fallback.
   std::string get_string(std::string_view key, std::string fallback = "") const;
 
-  /// Convenience: numeric member or fallback.
-  double get_number(std::string_view key, double fallback = 0) const;
-
   /// Serializes to compact JSON text.
   std::string dump() const;
 

@@ -56,11 +56,6 @@ void TcpServer::stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-std::size_t TcpServer::connection_count() const {
-  LockGuard lock(conn_count_mutex_);
-  return conn_count_;
-}
-
 void TcpServer::loop() {
   epoll_event events[64];
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -107,8 +102,6 @@ void TcpServer::accept_new() {
     ev.data.u64 = id;
     ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, conn.fd.get(), &ev);
     connections_.emplace(id, std::move(conn));
-    LockGuard lock(conn_count_mutex_);
-    conn_count_ = connections_.size();
   }
 }
 
@@ -226,8 +219,6 @@ void TcpServer::close_connection(std::uint64_t conn_id) {
   if (it == connections_.end()) return;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, it->second.fd.get(), nullptr);
   connections_.erase(it);
-  LockGuard lock(conn_count_mutex_);
-  conn_count_ = connections_.size();
 }
 
 TcpChannel::TcpChannel(std::uint16_t port, std::size_t pool_size,

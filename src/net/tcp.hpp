@@ -32,9 +32,6 @@ class TcpServer {
 
   std::uint16_t port() const { return port_; }
 
-  /// Number of currently open client connections (for tests).
-  std::size_t connection_count() const;
-
   void stop();
 
  private:
@@ -78,8 +75,6 @@ class TcpServer {
 
   std::map<std::uint64_t, Connection> connections_;
   std::uint64_t next_conn_id_ = 1;
-  mutable Mutex conn_count_mutex_;
-  std::size_t conn_count_ = 0;
 
   struct Completion {
     std::uint64_t conn_id;

@@ -25,13 +25,11 @@ InjectionReport run_injection(
       std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(
           1.0 / config.rps));
 
-  auto next_shot = start;
-  while (Clock::now() < end) {
-    std::this_thread::sleep_until(next_shot);
-    next_shot += interval;
-
-    const auto sent_at = Clock::now();
-    if (sent_at >= end) break;
+  // Every request due inside the window goes out, late ones as soon as the
+  // injecting thread is free again, and each is timed from its due time: a
+  // stall that holds back later sends is charged to the requests it delayed.
+  for (auto due = start; due < end; due += interval) {
+    std::this_thread::sleep_until(due);
     {
       LockGuard lock(mutex);
       ++report.injected;
@@ -41,14 +39,14 @@ InjectionReport run_injection(
     // callback: run_injection blocks on done_cv until in_flight reaches zero
     // before returning, so no completion can run after the frame dies.
     // PPROX-LIFETIME-OK(capture): joined via done_cv before frame exit
-    channel.send(make_request(), [&, sent_at](http::HttpResponse response) {
+    channel.send(make_request(), [&, due](http::HttpResponse response) {
       const auto now = Clock::now();
       const double latency_ms =
-          std::chrono::duration<double, std::milli>(now - sent_at).count();
+          std::chrono::duration<double, std::milli>(now - due).count();
       LockGuard lock(mutex);
       ++report.completed;
       if (response.status < 200 || response.status >= 300) ++report.failed;
-      if (sent_at >= measure_from && sent_at <= measure_to) {
+      if (due >= measure_from && due <= measure_to) {
         report.latencies_ms.add(latency_ms);
       }
       --in_flight;
@@ -58,9 +56,8 @@ InjectionReport run_injection(
 
   UniqueLock lock(mutex);
   injecting = false;
-  // Drain: wait for stragglers (bounded so a wedged backend cannot hang us).
-  done_cv.wait_for(lock, std::chrono::seconds(30),
-                   [&] { return in_flight == 0; });
+  // Drain without a bound: the callbacks reference this frame.
+  done_cv.wait(lock, [&] { return in_flight == 0; });
   return report;
 }
 

@@ -31,7 +31,10 @@ struct InjectionReport {
 };
 
 /// Fires `make_request()` products at the channel on an open-loop schedule
-/// (no waiting for responses) and blocks until the run drains.
+/// (no waiting for responses) and blocks until every response is in, however
+/// long that takes. Latencies run from each request's due time on the
+/// schedule, not from its actual send, and warm-up/cool-down trimming goes
+/// by due time too.
 InjectionReport run_injection(net::HttpChannel& channel,
                               const InjectorConfig& config,
                               const std::function<http::HttpRequest()>& make_request);

@@ -2,8 +2,12 @@
 // real-time open-loop injector.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "net/channel.hpp"
 #include "workload/injector.hpp"
@@ -136,6 +140,76 @@ TEST(Injector, TrimsWarmupAndCooldown) {
   // Only ~200ms of the 600ms window is measured.
   EXPECT_LT(report.latencies_ms.count(), report.completed);
   EXPECT_GT(report.latencies_ms.count(), 0u);
+}
+
+/// The k-th largest recorded latency (k = 1 is the maximum).
+double kth_largest(const SampleStats& s, std::size_t k) {
+  const auto n = static_cast<double>(s.count());
+  return s.percentile(100.0 * (n - static_cast<double>(k)) / (n - 1.0));
+}
+
+TEST(Injector, TimesRequestsFromTheirDueTime) {
+  // InProcChannel answers on the injecting thread, so stalling the first
+  // request for 200 ms holds back every send due during the stall. Timed
+  // from their due times, those late requests carry the stall.
+  std::atomic<bool> first{true};
+  net::FunctionSink sink([&first](const http::HttpRequest&) {
+    if (first.exchange(false)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
+    return http::HttpResponse::json_response(200, "{}");
+  });
+  net::InProcChannel channel(sink);
+  InjectorConfig config;
+  config.rps = 100;
+  config.duration = std::chrono::milliseconds(1'000);
+  config.warmup = std::chrono::milliseconds(0);
+  config.cooldown = std::chrono::milliseconds(0);
+  const auto report =
+      run_injection(channel, config, [] { return http::HttpRequest{}; });
+  ASSERT_GE(report.latencies_ms.count(), 5u);
+  EXPECT_GE(kth_largest(report.latencies_ms, 5), 50.0);
+}
+
+/// Answers each request from its own thread once `answer_at` has passed.
+class LateChannel final : public net::HttpChannel {
+ public:
+  explicit LateChannel(std::chrono::steady_clock::time_point answer_at)
+      : answer_at_(answer_at) {}
+  ~LateChannel() override {
+    for (std::thread& t : threads_) t.join();
+  }
+  LateChannel(const LateChannel&) = delete;
+  LateChannel& operator=(const LateChannel&) = delete;
+
+  void send(http::HttpRequest, net::RespondFn done) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    threads_.emplace_back([at = answer_at_, done = std::move(done)] {
+      std::this_thread::sleep_until(at);
+      done(http::HttpResponse::json_response(200, "{}"));
+    });
+  }
+
+ private:
+  const std::chrono::steady_clock::time_point answer_at_;
+  std::mutex mutex_;
+  std::vector<std::thread> threads_;
+};
+
+TEST(Injector, DrainsAnswersThatArriveAfterTheWindow) {
+  InjectorConfig config;
+  config.rps = 100;
+  config.duration = std::chrono::milliseconds(300);
+  config.warmup = std::chrono::milliseconds(0);
+  config.cooldown = std::chrono::milliseconds(0);
+  LateChannel channel(std::chrono::steady_clock::now() + config.duration +
+                      std::chrono::milliseconds(300));
+  const auto report =
+      run_injection(channel, config, [] { return http::HttpRequest{}; });
+  EXPECT_GT(report.injected, 0u);
+  EXPECT_EQ(report.completed, report.injected);
+  EXPECT_EQ(report.latencies_ms.count(), report.injected);
+  EXPECT_GE(report.latencies_ms.percentile(0), 250.0);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // See lint_callgraph.hpp for the contract; the parser here is the --hotpath
 // pass's original scope-stack parser with the leaf/call vocabulary removed:
 // it only records function identity, annotations, and body token spans.
+// Around it sit what every rule family shares: the token helpers, the one
+// suppression policy, the keyed baseline and report tail, and run_pass().
 #include "lint_callgraph.hpp"
 
 #include <algorithm>
@@ -138,6 +140,159 @@ std::string last_component(const std::string& qname) {
   return sep == std::string::npos ? qname : qname.substr(sep + 2);
 }
 
+std::size_t read_qualified(const std::vector<Tok>& toks, std::size_t i,
+                           std::size_t end, std::string& name) {
+  name = toks[i].text;
+  std::size_t j = i + 1;
+  while (j + 1 < end && toks[j].text == "::" &&
+         is_ident_tok(toks[j + 1].text)) {
+    name += "::" + toks[j + 1].text;
+    j += 2;
+  }
+  return j;
+}
+
+bool is_global_name(const std::vector<Tok>& toks, std::size_t i) {
+  return i > 0 && toks[i - 1].text == "::" &&
+         (i < 2 || !is_ident_tok(toks[i - 2].text));
+}
+
+std::size_t match_close(const std::vector<Tok>& toks, std::size_t open,
+                        std::size_t end) {
+  int depth = 1;
+  for (std::size_t k = open + 1; k < end; ++k) {
+    const std::string& t = toks[k].text;
+    if (t == "(" || t == "[" || t == "{") ++depth;
+    if ((t == ")" || t == "]" || t == "}") && --depth == 0) return k;
+  }
+  return end;
+}
+
+std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t open,
+                               std::size_t end) {
+  int depth = 1;
+  for (std::size_t k = open + 1; k < end; ++k) {
+    if (toks[k].text == "<") ++depth;
+    if (toks[k].text == ">" && --depth == 0) return k + 1;
+  }
+  return end;
+}
+
+ParamList param_list(const std::vector<Tok>& toks, const Span& sp,
+                     const std::string& fname_last) {
+  ParamList out;
+  if (sp.begin < 2) return out;
+  std::vector<std::pair<std::size_t, std::size_t>> groups;
+  std::size_t i = sp.begin - 2;
+  for (std::size_t steps = 0; steps < 600; ++steps) {
+    const std::string& t = toks[i].text;
+    if (t == ";" || t == "{" || t == "}") break;
+    if (t == ")") {
+      int depth = 1;
+      std::size_t j = i;
+      while (j > 0 && depth > 0) {
+        --j;
+        if (toks[j].text == ")") ++depth;
+        if (toks[j].text == "(") --depth;
+      }
+      if (depth != 0) break;
+      groups.push_back({j, i});
+      if (j == 0) break;
+      i = j - 1;
+      continue;
+    }
+    if (i == 0) break;
+    --i;
+  }
+  if (groups.empty()) return out;
+  auto [open, close] = groups.back();
+  for (const auto& [o, c] : groups) {
+    if (o > 0 && toks[o - 1].text == fname_last) {
+      open = o;
+      close = c;
+      break;
+    }
+  }
+  out.open = open;
+
+  // Split (open, close) on top-level commas. Angle brackets are not depth
+  // counted, so template-typed parameters may mis-split (DESIGN.md §13.5).
+  int depth = 0;
+  std::size_t start = open + 1;
+  auto piece = [&](std::size_t e) {
+    for (std::size_t k = start; k < e; ++k) {
+      if (toks[k].text == "=") {
+        e = k;  // cut a default argument
+        break;
+      }
+    }
+    out.params.push_back({start, e});
+  };
+  for (std::size_t k = open + 1; k < close; ++k) {
+    const std::string& t = toks[k].text;
+    if (t == "(" || t == "[" || t == "{") ++depth;
+    if (t == ")" || t == "]" || t == "}") --depth;
+    if (t == "," && depth == 0) {
+      piece(k);
+      start = k + 1;
+    }
+  }
+  if (start < close) piece(close);
+  return out;
+}
+
+std::vector<int> scc_ids(const std::vector<std::vector<int>>& succ) {
+  const std::size_t n = succ.size();
+  std::vector<int> index(n, -1), low(n, 0), comp(n, -1);
+  std::vector<bool> on_stack(n, false);
+  std::vector<std::size_t> stack;
+  int counter = 0;
+  int ncomp = 0;
+  struct Frame {
+    std::size_t v;
+    std::size_t edge = 0;
+  };
+  auto visit = [&](std::size_t v, std::vector<Frame>& work) {
+    index[v] = low[v] = counter++;
+    stack.push_back(v);
+    on_stack[v] = true;
+    work.push_back({v});
+  };
+  for (std::size_t root = 0; root < n; ++root) {
+    if (index[root] != -1) continue;
+    std::vector<Frame> work;
+    visit(root, work);
+    while (!work.empty()) {
+      Frame& fr = work.back();
+      const std::size_t v = fr.v;
+      if (fr.edge < succ[v].size()) {
+        const auto w = static_cast<std::size_t>(succ[v][fr.edge++]);
+        if (index[w] == -1) {
+          visit(w, work);
+        } else if (on_stack[w]) {
+          low[v] = std::min(low[v], index[w]);
+        }
+        continue;
+      }
+      work.pop_back();
+      if (!work.empty()) {
+        const std::size_t parent = work.back().v;
+        low[parent] = std::min(low[parent], low[v]);
+      }
+      if (low[v] != index[v]) continue;
+      while (true) {
+        const std::size_t w = stack.back();
+        stack.pop_back();
+        on_stack[w] = false;
+        comp[w] = ncomp;
+        if (w == v) break;
+      }
+      ++ncomp;
+    }
+  }
+  return comp;
+}
+
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -203,8 +358,19 @@ std::map<std::size_t, Suppression> scan_suppressions(
 
 }  // namespace
 
+unsigned Suppressions::at(const std::string& path, std::size_t line) const {
+  const auto fit = anchored.find(path);
+  if (fit == anchored.end()) return 0;
+  unsigned covered = 0;
+  for (const std::size_t anchor : {line, line - 1}) {
+    const auto lit = fit->second.find(anchor);
+    if (lit != fit->second.end()) covered |= lit->second;
+  }
+  return covered;
+}
+
 bool load_sources(const PassSpec& spec, const Options& opts,
-                  std::vector<Source>& sources,
+                  std::vector<Source>& sources, Suppressions& suppressions,
                   std::vector<Finding>& findings) {
   for (const std::filesystem::path& path : opts.inputs) {
     std::ifstream in(path);
@@ -216,10 +382,21 @@ bool load_sources(const PassSpec& spec, const Options& opts,
     src.path = path.string();
     std::string line;
     while (std::getline(in, line)) src.raw.push_back(line);
+    const auto comment_only = [&src](std::size_t ln) {
+      if (ln == 0 || ln > src.raw.size()) return false;
+      const std::string& l = src.raw[ln - 1];
+      const std::size_t at = l.find_first_not_of(" \t");
+      return at != std::string::npos && l.compare(at, 2, "//") == 0;
+    };
     for (const auto& [ln, s] :
          scan_suppressions(src.raw, spec.marker, spec.from_name)) {
       if (!s.bare) {
-        src.suppressions.emplace(ln, s.effects);
+        std::size_t anchor = ln;
+        if (comment_only(ln)) {
+          while (comment_only(anchor + 1)) ++anchor;
+          ++anchor;  // the first line below the comment block
+        }
+        suppressions.anchored[src.path][anchor] |= s.effects;
         continue;
       }
       Finding f;
@@ -989,6 +1166,34 @@ int report(const PassSpec& spec, const Options& opts,
               << " clean\n";
   }
   return 0;
+}
+
+int run_pass(const PassSpec& spec, const Options& opts, Analyze analyze) {
+  std::vector<Source> sources;
+  Suppressions suppressions;
+  std::vector<Finding> findings;
+  if (!load_sources(spec, opts, sources, suppressions, findings)) return 2;
+  Graph graph;
+  for (const Source& src : sources) {
+    graph.add_tu(src.path, tokenize(code_lines(src.raw)));
+  }
+  graph.merge_decl_annotations();
+  analyze(graph, suppressions, findings);
+
+  // Transitive emission can mint one key through several chains; keep the
+  // shortest as the representative witness.
+  std::map<std::string, std::size_t> best;
+  std::vector<Finding> unique;
+  for (Finding& f : findings) {
+    const auto it = best.find(f.key);
+    if (it == best.end()) {
+      best.emplace(f.key, unique.size());
+      unique.push_back(std::move(f));
+    } else if (f.chain.size() < unique[it->second].chain.size()) {
+      unique[it->second] = std::move(f);
+    }
+  }
+  return report(spec, opts, unique, sources.size());
 }
 
 }  // namespace cg

@@ -6,22 +6,27 @@
 // PPROX_HOT / PPROX_NONBLOCKING / PPROX_ECALL_BOUNDARY annotations, and the
 // *body token spans* (index ranges into the TU token stream). Passes replay
 // the spans with their own leaf vocabularies — the parser itself knows
-// nothing about allocation, blocking, or locks, which is what lets both
-// passes share one graph without one pass's tables leaking into the other.
+// nothing about allocation, blocking, locks, taint or lifetimes, which is
+// what lets every pass share one graph without one pass's tables leaking
+// into another.
 //
 // Overloads and #ifdef-twin definitions merge into one node whose spans
 // accumulate; effects computed by a pass are therefore unioned across all
 // definitions — conservative in the right direction (DESIGN.md §11.2).
 //
 // Every rule family, the line-local crypto/flow rules included, also shares
-// one command line (Options), one source loader that scans suppressions,
-// one Finding type, and one report tail with the keyed baseline ratchet.
+// one command line (Options), one source loader that anchors suppressions
+// under one policy, one Finding type, and one report tail with the keyed
+// baseline ratchet. The call-graph passes also share one run() body
+// (run_pass) and the token helpers below, so each pass file keeps only its
+// vocabulary, its lattice and its rules.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cg {
@@ -51,6 +56,27 @@ std::vector<Tok> tokenize(const std::vector<std::string>& code);
 /// "a::b::c" -> "c"; names without "::" pass through.
 std::string last_component(const std::string& qname);
 
+/// Reads the qualified name "a::b::c" whose first identifier is toks[i],
+/// looking no further than `end`. Returns the index just past the name.
+std::size_t read_qualified(const std::vector<Tok>& toks, std::size_t i,
+                           std::size_t end, std::string& name);
+
+/// True when the identifier at toks[i] is written `::name` (a libc/syscall
+/// spelling), not `scope::name`.
+bool is_global_name(const std::vector<Tok>& toks, std::size_t i);
+
+/// Index of the bracket that closes toks[open]: every ( [ { nests and every
+/// ) ] } unnests, whatever toks[open] itself is. Returns `end` when nothing
+/// closes it before `end`.
+std::size_t match_close(const std::vector<Tok>& toks, std::size_t open,
+                        std::size_t end);
+
+/// Index just past the '>' that closes the template argument list opened
+/// by the '<' at toks[open]; only angle brackets nest. Returns `end` when
+/// nothing closes it before `end`.
+std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t open,
+                               std::size_t end);
+
 /// One contiguous function-body token range: [begin, end) into
 /// Graph::tus[tu].toks, where toks[end] is the body's closing '}'.
 struct Span {
@@ -73,6 +99,23 @@ struct Tu {
   std::string path;
   std::vector<Tok> toks;
 };
+
+/// The parameter list of the definition whose body is `sp`. Walking back
+/// from the body '{' to the previous statement boundary, the "(...)" group
+/// right after the function's own name wins over constructor init-list
+/// groups; otherwise the most-backward group is taken.
+struct ParamList {
+  std::size_t open = 0;  ///< index of the list's '('; 0 when none was found
+  /// One [begin, end) token range per top-level comma piece, with any
+  /// default argument cut. Classifying the pieces is the pass's business.
+  std::vector<std::pair<std::size_t, std::size_t>> params;
+};
+ParamList param_list(const std::vector<Tok>& toks, const Span& sp,
+                     const std::string& fname_last);
+
+/// Strongly connected components of the graph `succ` (iterative Tarjan):
+/// one component id per node, numbered in the order components complete.
+std::vector<int> scc_ids(const std::vector<std::vector<int>>& succ);
 
 struct Graph {
   std::vector<Tu> tus;
@@ -144,17 +187,27 @@ struct PassSpec {
 struct Source {
   std::string path;
   std::vector<std::string> raw;
-  /// Justified `<marker>aspect[,aspect]): reason` suppressions: the line
-  /// they sit on -> aspect bits. Anchoring them is the pass's business.
-  std::map<std::size_t, unsigned> suppressions;
 };
 
-/// Shared head of a pass's run(): reads every input and scans its
-/// suppressions. A suppression without a ": <why>" suppresses nothing and
-/// becomes a `bare_rule` finding. Returns false (after printing why) when an
-/// input is unreadable.
+/// Justified `<marker>aspect[,aspect]): reason` suppressions of every input,
+/// under the one policy all six rule families share: a suppression covers
+/// the line it sits on and the line below. One inside a block of
+/// comment-only lines first moves to the first line below that block, so a
+/// multi-line justification above the code covers it.
+struct Suppressions {
+  /// path -> anchor line -> aspect bits, as placed by load_sources().
+  std::map<std::string, std::map<std::size_t, unsigned>> anchored;
+
+  /// Aspect bits covered at `line` of `path`.
+  unsigned at(const std::string& path, std::size_t line) const;
+};
+
+/// Reads every input and anchors its justified suppressions. A suppression
+/// without a ": <why>" suppresses nothing and becomes a `bare_rule`
+/// finding. Returns false (after printing why) when an input is unreadable.
 bool load_sources(const PassSpec& spec, const Options& opts,
-                  std::vector<Source>& sources, std::vector<Finding>& findings);
+                  std::vector<Source>& sources, Suppressions& suppressions,
+                  std::vector<Finding>& findings);
 
 /// Reads the `"<anchor>": [{"key": ..., "why": ...}, ...]` entry list from a
 /// baseline file into key -> why. Returns false when the file is unreadable
@@ -171,5 +224,13 @@ bool write_keyed_baseline(const std::string& path, const std::string& anchor,
 /// code (0 clean/within-baseline, 1 findings/regressions, 2 IO errors).
 int report(const PassSpec& spec, const Options& opts,
            std::vector<Finding>& findings, std::size_t files);
+
+/// The rules of one call-graph pass over the merged graph of every input.
+using Analyze = void (*)(const Graph& graph, const Suppressions& suppressions,
+                         std::vector<Finding>& findings);
+
+/// The whole run() of a call-graph pass: load_sources(), build the Graph,
+/// analyze, keep the shortest chain of each repeated key, then report().
+int run_pass(const PassSpec& spec, const Options& opts, Analyze analyze);
 
 }  // namespace cg

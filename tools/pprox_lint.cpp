@@ -38,9 +38,12 @@
 //   flow-test-declassify  the test-only escape hatch used in src/ or tools/.
 //   flow-internal UnsafeRawAccess referenced outside common/taint.hpp.
 //
-// False positives are suppressed inline, on the offending line, with a
-// mandatory reason (a bare allow(...) suppresses nothing):
+// False positives are suppressed inline with a mandatory reason (a bare
+// allow(...) suppresses nothing):
 //     std::memcmp(a, b, n);  // pprox-lint: allow(memcmp): public inputs
+// Every rule family shares one suppression policy (lint_callgraph.hpp): a
+// suppression covers the line it sits on and the line below, and one inside
+// a block of comment-only lines covers the first line below the block.
 //
 // Every rule family below reports through lint_callgraph's one path:
 // "file:line: [rule] message" diagnostics on stderr, or a JSON report on
@@ -548,7 +551,7 @@ std::string suppress_hint(const std::string& rule) {
   return " (suppress: // pprox-lint: " "allow(" + rule + "): <why>)";
 }
 
-void scan_file(const cg::Source& src, bool flow,
+void scan_file(const cg::Source& src, const cg::Suppressions& sup, bool flow,
                std::vector<cg::Finding>& findings, std::vector<Unit>& units) {
   const fs::path path(src.path);
   const std::vector<std::string>& raw = src.raw;
@@ -577,8 +580,7 @@ void scan_file(const cg::Source& src, bool flow,
   std::vector<KeyDecl> live_decls;
 
   for (std::size_t i = 0; i < code.size(); ++i) {
-    const auto sit = src.suppressions.find(i + 1);
-    const unsigned allowed = sit == src.suppressions.end() ? 0 : sit->second;
+    const unsigned allowed = sup.at(src.path, i + 1);
     const auto report = [&](const std::string& rule, const std::string& detail,
                             const std::string& msg) {
       if ((allowed & rule_bit(rule)) != 0) return;
@@ -932,10 +934,13 @@ int run_line_rules(const cg::Options& opts, bool flow) {
       .default_why = "baselined pre-existing violation; shrink, do not grow "
                      "(DESIGN.md §7.3)"};
   std::vector<cg::Source> sources;
+  cg::Suppressions sup;
   std::vector<cg::Finding> findings;
-  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
+  if (!cg::load_sources(spec, opts, sources, sup, findings)) return 2;
   std::vector<Unit> units;
-  for (const cg::Source& src : sources) scan_file(src, flow, findings, units);
+  for (const cg::Source& src : sources) {
+    scan_file(src, sup, flow, findings, units);
+  }
   if (flow) check_include_graph(units, findings);
   return cg::report(spec, opts, findings, sources.size());
 }

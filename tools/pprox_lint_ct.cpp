@@ -28,8 +28,10 @@
 // at use sites through names and types. Soundness limits (ternaries,
 // control-dependence, strong updates) are spelled out in DESIGN.md §13.5.
 //
-// Suppression (offending line, reason mandatory, same contract as the
-// other passes): aspects are branch / index / varlat:
+// Suppression (reason mandatory, the one policy of lint_callgraph.hpp: it
+// covers its own line and the line below, and a comment block above the
+// sink covers the first line below the block): aspects are branch / index /
+// varlat:
 //   if (m1 >= m2) {  // PPROX-CT-OK(branch): CRT recombination, see §13.4
 // A bare suppression is itself a finding and suppresses nothing. A
 // suppressed sink also drops out of the function's summary, so transitive
@@ -60,7 +62,6 @@ enum Aspect : unsigned {
   kIndexA = 1u << 1,
   kVarlatA = 1u << 2,
 };
-constexpr unsigned kAllAspects = kBranchA | kIndexA | kVarlatA;
 
 unsigned aspect_from_name(const std::string& name) {
   if (name == "branch") return kBranchA;
@@ -268,27 +269,12 @@ struct FnData {
 };
 
 struct Pass {
-  cg::Graph g;
+  const cg::Graph& g;
+  const cg::Suppressions& sup;
   std::vector<FnData> data;
   std::map<std::string, std::vector<int>> by_last;
   std::set<std::string> secret_decl_names;
-  std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
 };
-
-/// A suppression covers its own line and the line below it, so the comment
-/// can sit trailing on the sink line or alone directly above it.
-unsigned line_mask(const Pass& p, const std::string& file, std::size_t line) {
-  const auto fit = p.line_suppressions.find(file);
-  if (fit == p.line_suppressions.end()) return kAllAspects;
-  unsigned suppressed = 0;
-  auto lit = fit->second.find(line);
-  if (lit != fit->second.end()) suppressed |= lit->second;
-  if (line > 0) {
-    lit = fit->second.find(line - 1);
-    if (lit != fit->second.end()) suppressed |= lit->second;
-  }
-  return kAllAspects & ~suppressed;
-}
 
 // ---------------------------------------------------------------------------
 // Declared-name scan: variables of secret types are secret everywhere.
@@ -301,13 +287,7 @@ void scan_secret_decls(Pass& p) {
       if (kSecretTypeNames.count(toks[i].text) == 0) continue;
       std::size_t k = i + 1;
       if (k < toks.size() && toks[k].text == "<") {
-        int depth = 1;
-        ++k;
-        while (k < toks.size() && depth > 0) {
-          if (toks[k].text == "<") ++depth;
-          if (toks[k].text == ">") --depth;
-          ++k;
-        }
+        k = cg::skip_template_args(toks, k, toks.size());
       }
       while (k < toks.size() &&
              (toks[k].text == "&" || toks[k].text == "*")) {
@@ -328,76 +308,15 @@ void scan_secret_decls(Pass& p) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter extraction: walk back from the body '{' to the parameter list.
+// Parameter classification over the shared parameter-list locator.
 // ---------------------------------------------------------------------------
 
 void extract_params(const std::vector<cg::Tok>& toks, const cg::Span& sp,
                     const std::string& fname_last,
                     std::vector<ParamSlot>& slots) {
-  if (sp.begin < 2) return;
-  // Collect the balanced "(...)" groups between the previous statement
-  // boundary and the body brace; a constructor's init list contributes
-  // groups too, so prefer the one introduced by the function's own name,
-  // else the most-backward group.
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  std::size_t i = sp.begin - 2;
-  for (std::size_t steps = 0; steps < 600; ++steps) {
-    const std::string& t = toks[i].text;
-    if (t == ";" || t == "{" || t == "}") break;
-    if (t == ")") {
-      int depth = 1;
-      std::size_t j = i;
-      while (j > 0 && depth > 0) {
-        --j;
-        if (toks[j].text == ")") ++depth;
-        if (toks[j].text == "(") --depth;
-      }
-      if (depth != 0) break;
-      groups.push_back({j, i});
-      if (j == 0) break;
-      i = j - 1;
-      continue;
-    }
-    if (i == 0) break;
-    --i;
-  }
-  if (groups.empty()) return;
-  std::size_t open = groups.back().first;
-  std::size_t close = groups.back().second;
-  for (const auto& [o, c] : groups) {
-    if (o > 0 && toks[o - 1].text == fname_last) {
-      open = o;
-      close = c;
-      break;
-    }
-  }
-
-  // Split [open+1, close) on top-level commas (angle brackets are not depth
-  // counted; template-typed parameters may mis-split — DESIGN.md §13.5).
-  std::vector<std::pair<std::size_t, std::size_t>> pieces;
-  int depth = 0;
-  std::size_t start = open + 1;
-  for (std::size_t k = open + 1; k < close; ++k) {
-    const std::string& t = toks[k].text;
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    if (t == ")" || t == "]" || t == "}") --depth;
-    if (t == "," && depth == 0) {
-      pieces.push_back({start, k});
-      start = k + 1;
-    }
-  }
-  if (start < close) pieces.push_back({start, close});
-
-  for (std::size_t pi = 0; pi < pieces.size(); ++pi) {
-    auto [b, e] = pieces[pi];
-    // Cut a default argument.
-    for (std::size_t k = b; k < e; ++k) {
-      if (toks[k].text == "=") {
-        e = k;
-        break;
-      }
-    }
-    if (b >= e) continue;
+  const cg::ParamList list = cg::param_list(toks, sp, fname_last);
+  for (std::size_t pi = 0; pi < list.params.size(); ++pi) {
+    const auto [b, e] = list.params[pi];
     bool has_const = false, has_ref = false, mut_view = false;
     bool bytes_like = false;
     std::string name;
@@ -416,9 +335,7 @@ void extract_params(const std::vector<cg::Tok>& toks, const cg::Span& sp,
         name = t;  // last plain identifier wins: that's the parameter name
       }
     }
-    if (name.empty() || pieces.size() == 1) {
-      if (name.empty()) continue;
-    }
+    if (name.empty()) continue;
     if (slots.size() <= pi) slots.resize(pi + 1);
     slots[pi].names.insert(name);
     if ((has_ref && !has_const) || mut_view) slots[pi].out = true;
@@ -530,7 +447,7 @@ struct Walker {
   void record_sink(int kind, std::size_t line, unsigned mask,
                    const std::string& nm, const std::string& op) {
     if (mask == 0) return;
-    if ((line_mask(p, *file, line) & aspect_of(kind)) == 0) return;
+    if ((p.sup.at(*file, line) & aspect_of(kind)) != 0) return;
     Witness w;
     w.kind = kind;
     w.chain = fn.qname;
@@ -638,7 +555,7 @@ struct Walker {
         if (pi >= args.size()) continue;
         const unsigned am = args[pi].mask;
         if (am == 0) continue;
-        if ((line_mask(p, *file, line) & aspect_of(w.kind)) == 0) continue;
+        if ((p.sup.at(*file, line) & aspect_of(w.kind)) != 0) continue;
         Witness nw = w;
         nw.chain = fn.qname + " -> " + w.chain;
         add_event(am, nw);
@@ -772,25 +689,12 @@ struct Walker {
         ++i;
         continue;
       }
-      // Qualified path.
-      std::string name = t;
-      std::size_t j = i + 1;
-      while (j + 1 < e && text(j) == "::" && cg::is_ident_tok(text(j + 1))) {
-        name += "::" + text(j + 1);
-        j += 2;
-      }
+      std::string name;
+      std::size_t j = cg::read_qualified(*toks, i, e, name);
       const std::string last = cg::last_component(name);
       if (last == "static_cast" || last == "dynamic_cast" ||
           last == "reinterpret_cast" || last == "const_cast") {
-        if (j < e && text(j) == "<") {
-          int depth = 1;
-          ++j;
-          while (j < e && depth > 0) {
-            if (text(j) == "<") ++depth;
-            if (text(j) == ">") --depth;
-            ++j;
-          }
-        }
+        if (j < e && text(j) == "<") j = cg::skip_template_args(*toks, j, e);
         i = j;  // the "(value)" group is evaluated as a grouping next
         continue;
       }
@@ -865,25 +769,12 @@ struct Walker {
         continue;
       }
       if (t == "[" || t == "(" || t == "{") {
-        int depth = 1;
-        ++k;
-        while (k < e && depth > 0) {
-          const std::string& a = text(k);
-          if (a == "[" || a == "(" || a == "{") ++depth;
-          if (a == "]" || a == ")" || a == "}") --depth;
-          if (depth > 0) ++k;
-        }
+        k = cg::match_close(*toks, k, e);
         continue;
       }
       if (t == "<") {
-        // template argument list of a declared type: skip to '>'
-        int depth = 1;
-        ++k;
-        while (k < e && depth > 0) {
-          if (text(k) == "<") ++depth;
-          if (text(k) == ">") --depth;
-          if (depth > 0) ++k;
-        }
+        // template argument list of a declared type: resume after its '>'
+        k = cg::skip_template_args(*toks, k, e) - 1;
         continue;
       }
       if (cg::is_ident_tok(t) && kSkipTokens.count(t) == 0) {
@@ -1089,48 +980,9 @@ bool update_summary(Pass& p, int fi,
   return changed;
 }
 
-}  // namespace
-
-int run(const cg::Options& opts) {
-  const cg::PassSpec spec{
-      .mode = "ct",
-      .anchor = "ct",
-      .what = "constant-time",
-      // Split so this tool's own sources never self-match.
-      .marker = std::string("PPROX-CT-") + "OK(",
-      .from_name = &aspect_from_name,
-      .bare_rule = "ct-bare-suppression",
-      .bare_message = "constant-time suppression without a justification; "
-                      "write PPROX-CT-" "OK(<aspect>): <why> (the bare form "
-                      "suppresses nothing)",
-      .default_why = "baselined pre-existing secret-dependent timing; shrink, "
-                     "do not grow (DESIGN.md §13)"};
-  std::vector<cg::Source> sources;
-  std::vector<Finding> findings;
-  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
-  Pass p;
-  for (const cg::Source& src : sources) {
-    // A suppression on a comment-only line anchors forward to the next code
-    // line, so a multi-line justification block above the sink still lands
-    // on it; a trailing suppression anchors to its own line.
-    const auto comment_only = [&src](std::size_t ln) {
-      if (ln == 0 || ln > src.raw.size()) return false;
-      const std::string& l = src.raw[ln - 1];
-      const std::size_t at = l.find_first_not_of(" \t");
-      return at != std::string::npos && l.compare(at, 2, "//") == 0;
-    };
-    for (const auto& [ln, aspects] : src.suppressions) {
-      std::size_t anchor = ln;
-      if (comment_only(ln)) {
-        while (anchor < src.raw.size() && comment_only(anchor + 1)) ++anchor;
-        ++anchor;  // first non-comment line below the block
-      }
-      p.line_suppressions[src.path][anchor] |= aspects;
-    }
-    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
-  }
-
-  p.g.merge_decl_annotations();
+void analyze(const cg::Graph& g, const cg::Suppressions& sup,
+             std::vector<Finding>& findings) {
+  Pass p{g, sup, {}, {}, {}};
   scan_secret_decls(p);
   p.by_last = cg::index_by_last(p.g);
   p.data.assign(p.g.fns.size(), FnData{});
@@ -1193,23 +1045,25 @@ int run(const cg::Options& opts) {
       findings.push_back(std::move(f));
     }
   }
+}
 
-  // Transitive emission mints the same sink key once per distinct chain;
-  // keep the shortest chain as the representative witness.
-  std::map<std::string, std::size_t> best;
-  std::vector<Finding> unique;
-  for (Finding& f : findings) {
-    const auto it = best.find(f.key);
-    if (it == best.end()) {
-      best.emplace(f.key, unique.size());
-      unique.push_back(std::move(f));
-    } else if (f.chain.size() < unique[it->second].chain.size()) {
-      unique[it->second] = std::move(f);
-    }
-  }
-  findings = std::move(unique);
+}  // namespace
 
-  return cg::report(spec, opts, findings, sources.size());
+int run(const cg::Options& opts) {
+  const cg::PassSpec spec{
+      .mode = "ct",
+      .anchor = "ct",
+      .what = "constant-time",
+      // Split so this tool's own sources never self-match.
+      .marker = std::string("PPROX-CT-") + "OK(",
+      .from_name = &aspect_from_name,
+      .bare_rule = "ct-bare-suppression",
+      .bare_message = "constant-time suppression without a justification; "
+                      "write PPROX-CT-" "OK(<aspect>): <why> (the bare form "
+                      "suppresses nothing)",
+      .default_why = "baselined pre-existing secret-dependent timing; shrink, "
+                     "do not grow (DESIGN.md §13)"};
+  return cg::run_pass(spec, opts, &analyze);
 }
 
 }  // namespace ct

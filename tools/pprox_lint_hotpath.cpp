@@ -30,10 +30,12 @@
 //   throw  `throw` expressions.
 //   recursion  membership in a call-graph cycle (SCC or self-edge).
 //
-// Suppression (on the offending leaf or call line, reason mandatory):
+// Suppression (reason mandatory; the one policy of lint_callgraph.hpp: it
+// covers its own line and the line below, and a comment block above the
+// code covers the first line below the block):
 //   buf.push_back(b);  // PPROX-HOTPATH-OK(alloc): reserved in ctor
-// A suppression on a *call* line stops the named effects from propagating
-// through that call; on a *leaf* line it drops the leaf itself. A bare
+// A suppression covering a *call* stops the named effects from propagating
+// through that call; covering a *leaf* it drops the leaf itself. A bare
 // suppression (no ": reason") is itself a finding and suppresses nothing.
 //
 // Baseline ratchet: --baseline FILE compares finding *keys*
@@ -65,7 +67,6 @@ enum Effect : unsigned {
   kThrow = 1u << 2,
   kRecur = 1u << 3,
 };
-constexpr unsigned kAllEffects = kAlloc | kBlock | kThrow | kRecur;
 
 const char* effect_name(unsigned e) {
   switch (e) {
@@ -98,7 +99,7 @@ struct CallSite {
   bool member = false;
   bool global = false;  ///< written with a leading "::"
   std::size_t line = 0;
-  unsigned mask = kAllEffects;  ///< effects allowed to propagate through
+  unsigned mask = ~0u;  ///< effects allowed to propagate through
 };
 
 /// Pass-local per-function state, parallel to cg::Graph::fns.
@@ -111,12 +112,9 @@ struct Info {
 };
 
 struct Pass {
-  cg::Graph g;
+  const cg::Graph& g;
+  const cg::Suppressions& sup;
   std::vector<Info> info;
-  /// file -> line -> suppressed-effects mask. Kept past extraction because
-  /// recursion leaves are minted in mark_recursion and anchor to the
-  /// definition line.
-  std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
 };
 
 // ---------------------------------------------------------------------------
@@ -187,17 +185,9 @@ const std::set<std::string> kNotACall = {
 // Body replay: leaf and call-site extraction over recorded spans.
 // ---------------------------------------------------------------------------
 
-unsigned line_mask(const Pass& p, const std::string& file, std::size_t line) {
-  const auto fit = p.line_suppressions.find(file);
-  if (fit == p.line_suppressions.end()) return kAllEffects;
-  const auto lit = fit->second.find(line);
-  if (lit == fit->second.end()) return kAllEffects;
-  return kAllEffects & ~lit->second;
-}
-
 void add_leaf(Pass& p, int fi, unsigned kind, const std::string& token,
               std::size_t line, const std::string& file) {
-  if ((line_mask(p, file, line) & kind) == 0) return;  // suppressed
+  if ((p.sup.at(file, line) & kind) != 0) return;  // suppressed
   Info& f = p.info[static_cast<std::size_t>(fi)];
   for (const Leaf& l : f.leaves) {
     if (l.kind == kind && l.line == line && l.token == token) return;
@@ -275,23 +265,15 @@ void replay_span(Pass& p, int fi, const cg::Span& sp) {
       continue;
     }
     if (cg::is_ident_tok(t) && kNotACall.count(t) == 0) {
-      // Build a forward qualified path and check for a call.
-      std::string name = t;
-      std::size_t j = i + 1;
-      while (j + 1 < toks.size() && toks[j].text == "::" &&
-             cg::is_ident_tok(toks[j + 1].text)) {
-        name += "::" + toks[j + 1].text;
-        j += 2;
-      }
+      std::string name;
+      const std::size_t j = cg::read_qualified(toks, i, toks.size(), name);
       const bool call = j < toks.size() && toks[j].text == "(";
       if (call) {
         const bool member =
             i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->");
-        const bool global =
-            i > 0 && toks[i - 1].text == "::" &&
-            (i < 2 || !cg::is_ident_tok(toks[i - 2].text));
         p.info[static_cast<std::size_t>(fi)].calls.push_back(
-            {name, member, global, line, line_mask(p, file, line)});
+            {name, member, cg::is_global_name(toks, i), line,
+             ~p.sup.at(file, line)});
         i = j;  // leave '(' for normal scanning (nested calls)
         continue;
       }
@@ -361,84 +343,30 @@ void resolve_calls(Pass& p) {
   }
 }
 
-/// Tarjan SCC; every function in a nontrivial SCC (or with a self-edge)
-/// gets the recursion leaf.
+/// Every function in a nontrivial SCC (or with a self-edge) gets the
+/// recursion leaf.
 void mark_recursion(Pass& p) {
   const std::size_t n = p.g.fns.size();
-  std::vector<int> indices(n, -1), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<int> stack;
-  int counter = 0;
-
-  struct Frame {
-    int v;
-    std::size_t edge = 0;
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (indices[root] != -1) continue;
-    std::vector<Frame> work;
-    work.push_back({static_cast<int>(root)});
-    indices[root] = low[root] = counter++;
-    stack.push_back(static_cast<int>(root));
-    on_stack[root] = true;
-    while (!work.empty()) {
-      Frame& fr = work.back();
-      const auto& edges = p.info[static_cast<std::size_t>(fr.v)].edges;
-      if (fr.edge < edges.size()) {
-        const int w = edges[fr.edge++].first;
-        if (indices[static_cast<std::size_t>(w)] == -1) {
-          indices[static_cast<std::size_t>(w)] =
-              low[static_cast<std::size_t>(w)] = counter++;
-          stack.push_back(w);
-          on_stack[static_cast<std::size_t>(w)] = true;
-          work.push_back({w});
-        } else if (on_stack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(fr.v)] =
-              std::min(low[static_cast<std::size_t>(fr.v)],
-                       indices[static_cast<std::size_t>(w)]);
-        }
-      } else {
-        const int v = fr.v;
-        work.pop_back();
-        if (!work.empty()) {
-          const int parent = work.back().v;
-          low[static_cast<std::size_t>(parent)] =
-              std::min(low[static_cast<std::size_t>(parent)],
-                       low[static_cast<std::size_t>(v)]);
-        }
-        if (low[static_cast<std::size_t>(v)] ==
-            indices[static_cast<std::size_t>(v)]) {
-          std::vector<int> scc;
-          while (true) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<std::size_t>(w)] = false;
-            scc.push_back(w);
-            if (w == v) break;
-          }
-          bool cyclic = scc.size() > 1;
-          if (!cyclic) {
-            for (const auto& [t, mask] :
-                 p.info[static_cast<std::size_t>(v)].edges) {
-              (void)mask;
-              if (t == v) cyclic = true;
-            }
-          }
-          if (cyclic) {
-            for (int w : scc) {
-              const cg::Fn& fn = p.g.fns[static_cast<std::size_t>(w)];
-              Info& f = p.info[static_cast<std::size_t>(w)];
-              // The recursion leaf anchors to the definition line, so a
-              // PPROX-HOTPATH-OK(recursion) comment on that line drops it —
-              // same contract as every other leaf kind.
-              if ((line_mask(p, fn.file, fn.line) & kRecur) == 0) continue;
-              f.leaves.push_back({kRecur, "recursion-cycle", fn.line});
-              f.own |= kRecur;
-            }
-          }
-        }
-      }
-    }
+  std::vector<std::vector<int>> succ(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (const auto& [t, mask] : p.info[v].edges) succ[v].push_back(t);
+  }
+  const std::vector<int> comp = cg::scc_ids(succ);
+  std::vector<std::size_t> comp_size(n, 0);
+  for (const int c : comp) ++comp_size[static_cast<std::size_t>(c)];
+  for (std::size_t v = 0; v < n; ++v) {
+    const bool cyclic =
+        comp_size[static_cast<std::size_t>(comp[v])] > 1 ||
+        std::find(succ[v].begin(), succ[v].end(), static_cast<int>(v)) !=
+            succ[v].end();
+    if (!cyclic) continue;
+    // The recursion leaf anchors to the definition line, so a
+    // PPROX-HOTPATH-OK(recursion) comment covering that line drops it — same
+    // contract as every other leaf kind.
+    const cg::Fn& fn = p.g.fns[v];
+    if ((p.sup.at(fn.file, fn.line) & kRecur) != 0) continue;
+    p.info[v].leaves.push_back({kRecur, "recursion-cycle", fn.line});
+    p.info[v].own |= kRecur;
   }
 }
 
@@ -565,6 +493,16 @@ void collect_findings(const Pass& p, std::vector<Finding>& findings) {
   }
 }
 
+void analyze(const cg::Graph& g, const cg::Suppressions& sup,
+             std::vector<Finding>& findings) {
+  Pass p{g, sup, {}};
+  extract_effects(p);
+  resolve_calls(p);
+  mark_recursion(p);
+  propagate(p);
+  collect_findings(p, findings);
+}
+
 }  // namespace
 
 int run(const cg::Options& opts) {
@@ -581,25 +519,7 @@ int run(const cg::Options& opts) {
                       "suppresses nothing)",
       .default_why = "baselined pre-existing violation; shrink, do not grow "
                      "(DESIGN.md §11.4)"};
-  std::vector<cg::Source> sources;
-  std::vector<Finding> findings;
-  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
-  Pass p;
-  for (const cg::Source& src : sources) {
-    p.line_suppressions[src.path] = src.suppressions;
-    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
-  }
-
-  p.g.merge_decl_annotations();
-
-  extract_effects(p);
-  resolve_calls(p);
-  mark_recursion(p);
-  propagate(p);
-
-  collect_findings(p, findings);
-
-  return cg::report(spec, opts, findings, sources.size());
+  return cg::run_pass(spec, opts, &analyze);
 }
 
 }  // namespace hotpath

@@ -39,9 +39,10 @@
 // initializers, and container element types are approximated by method
 // name (push_back stores as-is; append/assign/insert copy).
 //
-// Suppression (on the offending line or the line above, reason mandatory,
-// same contract as the other passes); aspects are return / capture /
-// member / arena:
+// Suppression (reason mandatory, the one policy of lint_callgraph.hpp: it
+// covers its own line and the line below, and a comment block above the
+// code covers the first line below the block); aspects are return /
+// capture / member / arena:
 //   std::string_view text_;  // PPROX-LIFETIME-OK(member): parser is
 //                            // stack-local to parse(), never outlives text
 // A bare suppression (no ": reason") is itself a finding and suppresses
@@ -74,7 +75,6 @@ enum Aspect : unsigned {
   kMember = 1u << 2,
   kArena = 1u << 3,
 };
-constexpr unsigned kAllAspects = kReturn | kCapture | kMember | kArena;
 
 unsigned aspect_from_name(const std::string& name) {
   if (name == "return") return kReturn;
@@ -241,7 +241,7 @@ struct CallSite {
   std::string recv_root;      ///< first receiver component, "" if none
   std::size_t line = 0;
   std::string file;
-  unsigned mask = kAllAspects;
+  unsigned mask = ~0u;  ///< aspects not suppressed at the call
   std::vector<Arg> args;
   std::vector<int> callees;
 };
@@ -260,78 +260,30 @@ struct FnData {
 };
 
 struct Pass {
-  cg::Graph g;
+  const cg::Graph& g;
+  const cg::Suppressions& sup;
   std::vector<FnData> data;
   std::vector<Finding> direct_findings;
-  std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
   /// Member names declared with a view type / a callable type anywhere in
   /// scope: assignment to one of these stores the RHS as-is.
   std::set<std::string> view_member_names;
   std::set<std::string> callable_member_names;
 };
 
-/// A suppression covers its own line and the line above it, so the comment
-/// can sit trailing on the offending line or alone directly above it.
-unsigned line_mask(const Pass& p, const std::string& file, std::size_t line) {
-  const auto fit = p.line_suppressions.find(file);
-  if (fit == p.line_suppressions.end()) return kAllAspects;
-  unsigned suppressed = 0;
-  auto lit = fit->second.find(line);
-  if (lit != fit->second.end()) suppressed |= lit->second;
-  if (line > 0) {
-    lit = fit->second.find(line - 1);
-    if (lit != fit->second.end()) suppressed |= lit->second;
-  }
-  return kAllAspects & ~suppressed;
-}
-
 // ---------------------------------------------------------------------------
 // Signature extraction: parameter names/types and the return type.
 // ---------------------------------------------------------------------------
 
-/// Walks back from the body '{' to the parameter list (the balanced group
-/// introduced by the function's own name beats ctor-init-list groups) and
-/// then further back to the return type. Same machinery as the --ct pass.
+/// Classifies the pieces of the shared parameter-list locator, then walks
+/// further back from the function name to the return type.
 void scan_signature(const std::vector<cg::Tok>& toks, const cg::Span& sp,
                     const std::string& fname_last, FnSig& sig) {
-  if (sp.begin < 2) return;
-  std::vector<std::pair<std::size_t, std::size_t>> groups;
-  std::size_t i = sp.begin - 2;
-  for (std::size_t steps = 0; steps < 600; ++steps) {
-    const std::string& t = toks[i].text;
-    if (t == ";" || t == "{" || t == "}") break;
-    if (t == ")") {
-      int depth = 1;
-      std::size_t j = i;
-      while (j > 0 && depth > 0) {
-        --j;
-        if (toks[j].text == ")") ++depth;
-        if (toks[j].text == "(") --depth;
-      }
-      if (depth != 0) break;
-      groups.push_back({j, i});
-      if (j == 0) break;
-      i = j - 1;
-      continue;
-    }
-    if (i == 0) break;
-    --i;
-  }
-  if (groups.empty()) return;
-  std::size_t open = groups.back().first;
-  std::size_t close = groups.back().second;
-  for (const auto& [o, c] : groups) {
-    if (o > 0 && toks[o - 1].text == fname_last) {
-      open = o;
-      close = c;
-      break;
-    }
-  }
+  const cg::ParamList list = cg::param_list(toks, sp, fname_last);
 
   // Return type: tokens between the previous statement boundary and the
   // function name. A view-type token or a '*' marks a view return.
-  if (open >= 1) {
-    std::size_t k = open - 1;  // function name token
+  if (list.open >= 1) {
+    std::size_t k = list.open - 1;  // function name token
     for (std::size_t steps = 0; steps < 40 && k > 0; ++steps) {
       --k;
       const std::string& t = toks[k].text;
@@ -340,30 +292,8 @@ void scan_signature(const std::vector<cg::Tok>& toks, const cg::Span& sp,
     }
   }
 
-  // Split [open+1, close) on top-level commas.
-  std::vector<std::pair<std::size_t, std::size_t>> pieces;
-  int depth = 0;
-  std::size_t start = open + 1;
-  for (std::size_t k = open + 1; k < close; ++k) {
-    const std::string& t = toks[k].text;
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    if (t == ")" || t == "]" || t == "}") --depth;
-    if (t == "," && depth == 0) {
-      pieces.push_back({start, k});
-      start = k + 1;
-    }
-  }
-  if (start < close) pieces.push_back({start, close});
-
-  for (std::size_t pi = 0; pi < pieces.size(); ++pi) {
-    auto [b, e] = pieces[pi];
-    for (std::size_t k = b; k < e; ++k) {
-      if (toks[k].text == "=") {
-        e = k;
-        break;
-      }
-    }
-    if (b >= e) continue;
+  for (std::size_t pi = 0; pi < list.params.size(); ++pi) {
+    const auto [b, e] = list.params[pi];
     bool is_view = false, is_callable = false;
     std::string name;
     for (std::size_t k = b; k < e; ++k) {
@@ -404,13 +334,7 @@ void scan_members(Pass& p) {
       }
       std::size_t k = i + 1;
       if (k < toks.size() && toks[k].text == "<") {
-        int depth = 1;
-        ++k;
-        while (k < toks.size() && depth > 0) {
-          if (toks[k].text == "<") ++depth;
-          if (toks[k].text == ">") --depth;
-          ++k;
-        }
+        k = cg::skip_template_args(toks, k, toks.size());
       }
       while (k < toks.size() &&
              (toks[k].text == "&" || toks[k].text == "*" ||
@@ -427,7 +351,7 @@ void scan_members(Pass& p) {
         continue;
       }
       p.view_member_names.insert(name);
-      if ((line_mask(p, tu.path, toks[k].line) & kMember) == 0) continue;
+      if ((p.sup.at(tu.path, toks[k].line) & kMember) != 0) continue;
       Finding f;
       f.rule = "lifetime-view-member";
       f.key = "lifetime-view-member|" +
@@ -557,15 +481,22 @@ struct Replayer {
   }
 
   std::size_t match_forward(std::size_t open) const {
-    int depth = 1;
-    std::size_t k = open + 1;
-    while (k < toks.size() && depth > 0) {
-      const std::string& t = toks[k].text;
+    return cg::match_close(toks, open, toks.size());
+  }
+
+  /// The ';' that ends the statement whose tokens follow `head`, looking at
+  /// most 119 tokens ahead and never past the body.
+  std::size_t statement_end(std::size_t head) const {
+    std::size_t e = head + 1;
+    int depth = 0;
+    while (e < sp.end && e < head + 120) {
+      const std::string& t = toks[e].text;
       if (t == "(" || t == "[" || t == "{") ++depth;
       if (t == ")" || t == "]" || t == "}") --depth;
-      ++k;
+      if (t == ";" && depth <= 0) break;
+      ++e;
     }
-    return k - 1;  // index of the closer
+    return e;
   }
 
   /// Parses a lambda introducer starting at `[` (index lb). Returns the
@@ -664,7 +595,7 @@ struct Replayer {
   void emit(const char* rule, unsigned aspect, const std::string& key_tail,
             std::size_t line, const std::string& chain,
             const std::string& message) {
-    if ((line_mask(p, file, line) & aspect) == 0) return;
+    if ((p.sup.at(file, line) & aspect) != 0) return;
     Finding f;
     f.rule = rule;
     f.key = std::string(rule) + "|" + fn.qname + "|" + key_tail;
@@ -691,15 +622,7 @@ struct Replayer {
 
 void Replayer::handle_return(std::size_t& i) {
   // i points at `return`. Scan the expression up to ';'.
-  std::size_t e = i + 1;
-  int depth = 0;
-  while (e < sp.end && e < i + 120) {
-    const std::string& t = toks[e].text;
-    if (t == "(" || t == "[" || t == "{") ++depth;
-    if (t == ")" || t == "]" || t == "}") --depth;
-    if (t == ";" && depth == 0) break;
-    ++e;
-  }
+  const std::size_t e = statement_end(i);
   const std::size_t b = i + 1;
   const std::size_t line = toks[i].line;
   if (b >= e || !body_ret_view || in_lambda(i)) {
@@ -711,12 +634,7 @@ void Replayer::handle_return(std::size_t& i) {
   std::size_t k = b;
   std::string name;
   if (cg::is_ident_tok(text(k)) && kSkipIdents.count(text(k)) == 0) {
-    name = text(k);
-    std::size_t j = k + 1;
-    while (j + 1 < e && text(j) == "::" && cg::is_ident_tok(text(j + 1))) {
-      name += "::" + text(j + 1);
-      j += 2;
-    }
+    const std::size_t j = cg::read_qualified(toks, k, e, name);
     if (text(j) == "(") {
       const std::string last = cg::last_component(name);
       const std::size_t close = match_forward(j);
@@ -763,7 +681,7 @@ void Replayer::handle_return(std::size_t& i) {
         cs.in_return = true;
         cs.line = line;
         cs.file = file;
-        cs.mask = line_mask(p, file, line);
+        cs.mask = ~p.sup.at(file, line);
         cs.args = collect_args(j, close);
         d.calls.push_back(std::move(cs));
         i = e;
@@ -842,7 +760,7 @@ void Replayer::handle_call(std::size_t i, std::size_t j,
 
   if (sink_builtin || store_member) {
     const std::vector<Arg> args = collect_args(j, close);
-    const unsigned mask = line_mask(p, file, line);
+    const unsigned mask = ~p.sup.at(file, line);
     const std::string sink_txt =
         (member ? recv_root + "." : std::string()) + last;
     for (std::size_t ai = 0; ai < args.size(); ++ai) {
@@ -908,7 +826,7 @@ void Replayer::handle_call(std::size_t i, std::size_t j,
   // by-ref locals are not.
   if (last == "DetThread" || last == "thread") {
     const std::vector<Arg> args = collect_args(j, close);
-    const unsigned mask = line_mask(p, file, line);
+    const unsigned mask = ~p.sup.at(file, line);
     for (const Arg& a : args) {
       if (a.lam.is_lambda && a.lam.byref_local && !a.lam.guarded &&
           (mask & kCapture) != 0) {
@@ -947,7 +865,7 @@ void Replayer::handle_call(std::size_t i, std::size_t j,
   cs.recv_root = recv_root;
   cs.line = line;
   cs.file = file;
-  cs.mask = line_mask(p, file, line);
+  cs.mask = ~p.sup.at(file, line);
   cs.args = collect_args(j, close);
   bool interesting = false;
   for (const Arg& a : cs.args) {
@@ -991,20 +909,13 @@ void Replayer::run() {
     // not a scanned function — resolving it by last component would alias
     // it onto unrelated class methods (TcpChannel::send). Skip the head;
     // the walk still descends into the argument tokens.
-    if (i > sp.begin && toks[i - 1].text == "::" &&
-        (i < sp.begin + 2 || !cg::is_ident_tok(toks[i - 2].text))) {
+    if (cg::is_global_name(toks, i)) {
       ++i;
       continue;
     }
 
-    // Forward qualified path.
-    std::string name = t;
-    std::size_t j = i + 1;
-    while (j + 1 < toks.size() && toks[j].text == "::" &&
-           cg::is_ident_tok(toks[j + 1].text)) {
-      name += "::" + toks[j + 1].text;
-      j += 2;
-    }
+    std::string name;
+    const std::size_t j = cg::read_qualified(toks, i, toks.size(), name);
     const std::string last = cg::last_component(name);
 
     // Local owner declaration: `std::string s ...`, `Bytes b{...}`,
@@ -1042,15 +953,7 @@ void Replayer::run() {
           (text(k + 1) == "=" || text(k + 1) == "{" ||
            text(k + 1) == "(")) {
         const std::string var = text(k);
-        std::size_t e = k + 1;
-        int depth = 0;
-        while (e < sp.end && e < k + 120) {
-          const std::string& tt = toks[e].text;
-          if (tt == "(" || tt == "[" || tt == "{") ++depth;
-          if (tt == ")" || tt == "]" || tt == "}") --depth;
-          if (tt == ";" && depth <= 0) break;
-          ++e;
-        }
+        const std::size_t e = statement_end(k);
         Src s = classify_expr(k + 1, e);
         s.name = s.name.empty() ? var : s.name;
         view_vars[var] = s;
@@ -1067,18 +970,10 @@ void Replayer::run() {
         (i == sp.begin || toks[i - 1].text != ".") &&
         (p.view_member_names.count(t) != 0 ||
          p.callable_member_names.count(t) != 0)) {
-      std::size_t e = j + 1;
-      int depth = 0;
-      while (e < sp.end && e < j + 120) {
-        const std::string& tt = toks[e].text;
-        if (tt == "(" || tt == "[" || tt == "{") ++depth;
-        if (tt == ")" || tt == "]" || tt == "}") --depth;
-        if (tt == ";" && depth <= 0) break;
-        ++e;
-      }
+      const std::size_t e = statement_end(j);
       const Src s = classify_expr(j + 1, e);
-      const unsigned mask = line_mask(p, file, toks[i].line);
-      if ((s.kind & kSrcArena) != 0 && (mask & kArena) != 0) {
+      if ((s.kind & kSrcArena) != 0 &&
+          (p.sup.at(file, toks[i].line) & kArena) == 0) {
         Finding f;
         f.rule = "lifetime-arena-escape";
         f.key = "lifetime-arena-escape|" + fn.qname + "|" + t;
@@ -1320,6 +1215,18 @@ void collect_call_findings(const Pass& p, std::vector<Finding>& findings) {
   }
 }
 
+void analyze(const cg::Graph& g, const cg::Suppressions& sup,
+             std::vector<Finding>& findings) {
+  Pass p{g, sup, {}, {}, {}, {}};
+  scan_members(p);
+  extract_events(p);
+  resolve_calls(p);
+  propagate_summaries(p);
+
+  for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
+  collect_call_findings(p, findings);
+}
+
 }  // namespace
 
 int run(const cg::Options& opts) {
@@ -1336,33 +1243,7 @@ int run(const cg::Options& opts) {
                       "suppresses nothing)",
       .default_why = "baselined pre-existing violation; shrink, do not grow "
                      "(DESIGN.md §14.4)"};
-  std::vector<cg::Source> sources;
-  std::vector<Finding> findings;
-  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
-  Pass p;
-  for (const cg::Source& src : sources) {
-    p.line_suppressions[src.path] = src.suppressions;
-    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
-  }
-
-  p.g.merge_decl_annotations();
-  scan_members(p);
-  extract_events(p);
-  resolve_calls(p);
-  propagate_summaries(p);
-
-  for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
-  collect_call_findings(p, findings);
-
-  // Transitive emission can mint the same key through several chains.
-  std::set<std::string> seen;
-  std::vector<Finding> unique;
-  for (Finding& f : findings) {
-    if (seen.insert(f.key).second) unique.push_back(std::move(f));
-  }
-  findings = std::move(unique);
-
-  return cg::report(spec, opts, findings, sources.size());
+  return cg::run_pass(spec, opts, &analyze);
 }
 
 }  // namespace lifetime

@@ -33,8 +33,10 @@
 // why same-lock self-edges are excluded from the order graph (DESIGN.md
 // §12.4 spells out this and the other soundness limits).
 //
-// Suppression (on the offending line, reason mandatory, same contract as
-// --hotpath): aspects are order / blocking / ecall / manual / nopred:
+// Suppression (reason mandatory, the one policy of lint_callgraph.hpp: it
+// covers its own line and the line below, and a comment block above the
+// code covers the first line below the block): aspects are order /
+// blocking / ecall / manual / nopred:
 //   stats_mu_.lock();  // PPROX-LOCKS-OK(manual): released across callback
 // A bare suppression (no ": reason") is itself a finding and suppresses
 // nothing. Baseline ratchet: --baseline FILE compares finding keys against
@@ -68,8 +70,6 @@ enum Aspect : unsigned {
   kManual = 1u << 3,
   kNopred = 1u << 4,
 };
-constexpr unsigned kAllAspects = kOrder | kBlocking | kEcall | kManual |
-                                 kNopred;
 
 unsigned aspect_from_name(const std::string& name) {
   if (name == "order") return kOrder;
@@ -191,7 +191,7 @@ struct CallEv {
   bool global = false;
   std::size_t line = 0;
   std::vector<std::string> held;
-  unsigned mask = kAllAspects;
+  unsigned mask = ~0u;  ///< aspects not suppressed at the call
   std::string file;
 };
 
@@ -199,7 +199,7 @@ struct CallEv {
 struct Edge {
   int callee = -1;
   std::vector<std::string> held;
-  unsigned mask = kAllAspects;
+  unsigned mask = ~0u;
   std::size_t line = 0;
   std::string file;
 };
@@ -230,21 +230,13 @@ struct FnData {
 };
 
 struct Pass {
-  cg::Graph g;
+  const cg::Graph& g;
+  const cg::Suppressions& sup;
   std::vector<FnData> data;
   std::vector<Finding> direct_findings;  ///< manual + nopred, minted in walk
-  std::map<std::string, std::map<std::size_t, unsigned>> line_suppressions;
   std::set<std::string> mutex_names;  ///< declared mutex variable names
   std::set<std::string> cv_names;     ///< declared CondVar variable names
 };
-
-unsigned line_mask(const Pass& p, const std::string& file, std::size_t line) {
-  const auto fit = p.line_suppressions.find(file);
-  if (fit == p.line_suppressions.end()) return kAllAspects;
-  const auto lit = fit->second.find(line);
-  if (lit == fit->second.end()) return kAllAspects;
-  return kAllAspects & ~lit->second;
-}
 
 // ---------------------------------------------------------------------------
 // Declared-name scan: which identifiers are mutexes / condition variables.
@@ -433,14 +425,8 @@ void replay_span(Pass& p, int fi, const cg::Span& sp) {
       continue;
     }
 
-    // Forward qualified path.
-    std::string name = t;
-    std::size_t j = i + 1;
-    while (j + 1 < toks.size() && toks[j].text == "::" &&
-           cg::is_ident_tok(toks[j + 1].text)) {
-      name += "::" + toks[j + 1].text;
-      j += 2;
-    }
+    std::string name;
+    const std::size_t j = cg::read_qualified(toks, i, toks.size(), name);
     const std::string last = cg::last_component(name);
 
     // Local mutex / condvar declaration: `Mutex m;`, `CondVar& cv = ...;`.
@@ -510,9 +496,8 @@ void replay_span(Pass& p, int fi, const cg::Span& sp) {
     }
     const bool member =
         i > 0 && (toks[i - 1].text == "." || toks[i - 1].text == "->");
-    const bool global = i > 0 && toks[i - 1].text == "::" &&
-                        (i < 2 || !cg::is_ident_tok(toks[i - 2].text));
-    const unsigned mask = line_mask(p, file, line);
+    const bool global = cg::is_global_name(toks, i);
+    const unsigned mask = ~p.sup.at(file, line);
 
     // CondVar::wait / wait_for / wait_until on a known condition variable.
     if (member &&
@@ -861,7 +846,7 @@ void collect_order_findings(const Pass& p, std::vector<Finding>& findings) {
     const cg::Fn& fn = p.g.fns[i];
     const FnData& d = p.data[i];
     for (const AcquireEv& a : d.acquires) {
-      if ((line_mask(p, a.file, a.line) & kOrder) == 0) continue;
+      if ((p.sup.at(a.file, a.line) & kOrder) != 0) continue;
       for (const std::string& h : a.held_before) {
         add_edge(h, a.lock, {fn.qname, a.file, a.line});
       }
@@ -877,7 +862,6 @@ void collect_order_findings(const Pass& p, std::vector<Finding>& findings) {
     }
   }
 
-  // Tarjan over the lock nodes.
   std::vector<std::string> names;
   std::map<std::string, int> id;
   for (const auto& [nm, row] : graph) {
@@ -893,60 +877,7 @@ void collect_order_findings(const Pass& p, std::vector<Finding>& findings) {
       succ[static_cast<std::size_t>(id[from])].push_back(id[to]);
     }
   }
-  std::vector<int> indices(n, -1), low(n, 0), comp(n, -1);
-  std::vector<bool> on_stack(n, false);
-  std::vector<int> stack;
-  int counter = 0, ncomp = 0;
-  struct Frame {
-    int v;
-    std::size_t edge = 0;
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (indices[root] != -1) continue;
-    std::vector<Frame> work;
-    work.push_back({static_cast<int>(root)});
-    indices[root] = low[root] = counter++;
-    stack.push_back(static_cast<int>(root));
-    on_stack[root] = true;
-    while (!work.empty()) {
-      Frame& fr = work.back();
-      auto& edges = succ[static_cast<std::size_t>(fr.v)];
-      if (fr.edge < edges.size()) {
-        const int w = edges[fr.edge++];
-        if (indices[static_cast<std::size_t>(w)] == -1) {
-          indices[static_cast<std::size_t>(w)] =
-              low[static_cast<std::size_t>(w)] = counter++;
-          stack.push_back(w);
-          on_stack[static_cast<std::size_t>(w)] = true;
-          work.push_back({w});
-        } else if (on_stack[static_cast<std::size_t>(w)]) {
-          low[static_cast<std::size_t>(fr.v)] =
-              std::min(low[static_cast<std::size_t>(fr.v)],
-                       indices[static_cast<std::size_t>(w)]);
-        }
-      } else {
-        const int v = fr.v;
-        work.pop_back();
-        if (!work.empty()) {
-          const int parent = work.back().v;
-          low[static_cast<std::size_t>(parent)] =
-              std::min(low[static_cast<std::size_t>(parent)],
-                       low[static_cast<std::size_t>(v)]);
-        }
-        if (low[static_cast<std::size_t>(v)] ==
-            indices[static_cast<std::size_t>(v)]) {
-          while (true) {
-            const int w = stack.back();
-            stack.pop_back();
-            on_stack[static_cast<std::size_t>(w)] = false;
-            comp[static_cast<std::size_t>(w)] = ncomp;
-            if (w == v) break;
-          }
-          ++ncomp;
-        }
-      }
-    }
-  }
+  const std::vector<int> comp = cg::scc_ids(succ);
 
   // One finding per nontrivial SCC: shortest cycle through the
   // lexicographically smallest lock, so the key is deterministic.
@@ -1025,6 +956,20 @@ void collect_order_findings(const Pass& p, std::vector<Finding>& findings) {
   }
 }
 
+void analyze(const cg::Graph& g, const cg::Suppressions& sup,
+             std::vector<Finding>& findings) {
+  Pass p{g, sup, {}, {}, {}, {}};
+  scan_declared_names(p);
+  extract_events(p);
+  resolve_calls(p);
+  init_summaries(p);
+  propagate_summaries(p);
+
+  for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
+  collect_held_findings(p, findings);
+  collect_order_findings(p, findings);
+}
+
 }  // namespace
 
 int run(const cg::Options& opts) {
@@ -1041,35 +986,7 @@ int run(const cg::Options& opts) {
                       "form suppresses nothing)",
       .default_why = "baselined pre-existing violation; shrink, do not grow "
                      "(DESIGN.md §12.5)"};
-  std::vector<cg::Source> sources;
-  std::vector<Finding> findings;
-  if (!cg::load_sources(spec, opts, sources, findings)) return 2;
-  Pass p;
-  for (const cg::Source& src : sources) {
-    p.line_suppressions[src.path] = src.suppressions;
-    p.g.add_tu(src.path, cg::tokenize(cg::code_lines(src.raw)));
-  }
-
-  p.g.merge_decl_annotations();
-  scan_declared_names(p);
-  extract_events(p);
-  resolve_calls(p);
-  init_summaries(p);
-  propagate_summaries(p);
-
-  for (Finding& f : p.direct_findings) findings.push_back(std::move(f));
-  collect_held_findings(p, findings);
-  collect_order_findings(p, findings);
-
-  // Transitive emission can mint the same key through several chains.
-  std::set<std::string> seen;
-  std::vector<Finding> unique;
-  for (Finding& f : findings) {
-    if (seen.insert(f.key).second) unique.push_back(std::move(f));
-  }
-  findings = std::move(unique);
-
-  return cg::report(spec, opts, findings, sources.size());
+  return cg::run_pass(spec, opts, &analyze);
 }
 
 }  // namespace locks
