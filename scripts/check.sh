@@ -209,9 +209,9 @@ if [[ "$MODE" == "--model" ]]; then
   # Deterministic interleaving exploration (DESIGN.md §9). Two builds:
   #
   #   build-model           sync.hpp routes through the det scheduler; the
-  #                         five pprox_check models (shuffle, mpmc, pool,
-  #                         rotation, lockorder) run bounded-exhaustive DFS
-  #                         and fixed-seed PCT and must all PASS.
+  #                         four pprox_check models (shuffle, pool, rotation,
+  #                         lockorder) run bounded-exhaustive DFS and
+  #                         fixed-seed PCT and must all PASS.
   #   build-model-selftest  -DPPROX_CHECK_SELFTEST runs every model on its
   #                         pre-fix subject (pprox_check's own variants;
   #                         the libraries are unchanged). Every model test

@@ -658,11 +658,6 @@ void advance_time(std::uint64_t delta_ms, SourceLoc loc) {
   g.now_ms += delta_ms;
 }
 
-std::uint64_t current_step() noexcept {
-  std::unique_lock<std::mutex> lk(g.m);
-  return g.step;
-}
-
 void model_fail(const std::string& message) {
   std::unique_lock<std::mutex> lk(g.m);
   fail_locked("INVARIANT VIOLATION", message);

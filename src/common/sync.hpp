@@ -148,9 +148,6 @@ void advance_time(std::uint64_t delta_ms,
 inline void model_check(bool ok, const char* message) {
   if (!ok) model_fail(message);
 }
-// Monotonic step counter of the current execution (for history recording in
-// linearizability checks).
-std::uint64_t current_step() noexcept;
 
 // --- Explorer API (called from tools/pprox_check). ----------------------
 

@@ -1,24 +1,26 @@
-// Worker thread pool draining an MpmcQueue of tasks. Models the paper's
-// in-enclave data-processing pool (§5): the server thread enqueues parsed
-// packets, workers perform crypto and forwarding.
+// Worker thread pool: the paper's in-enclave data-processing pool (§5). The
+// server thread submits parsed packets; workers perform crypto and
+// forwarding. One mutex guards a ring of task slots allocated at
+// construction, so a hand-off move-assigns into a slot and never allocates.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
-#include "concurrent/mpmc_queue.hpp"
 
 namespace pprox::concurrent {
 
-/// Fixed-size pool executing std::function<void()> tasks in FIFO-ish order.
-/// submit() blocks only when the bounded queue is full (backpressure).
+/// Fixed-size pool executing std::function<void()> tasks in FIFO order.
+/// submit() blocks only while the bounded ring is full (backpressure).
+/// Needs at least one worker thread for accepted tasks to run.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads, std::size_t queue_capacity = 4096)
-      : queue_(queue_capacity) {
+      : ring_(queue_capacity > 0 ? queue_capacity : 1) {
     workers_.reserve(num_threads);
     for (std::size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back(DetThread([this] { worker_loop(); }, "pool-worker"));
@@ -30,117 +32,62 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; spins briefly then sleeps when the queue is full.
-  /// Returns false after shutdown() (task is dropped). Every task accepted
-  /// (true returned) is guaranteed to execute before shutdown() completes.
-  bool submit(std::function<void()> task) {
-    // The in-flight gate lets shutdown() tell "no submit will ever publish
-    // again" apart from "no submit is publishing right now": a submit that
-    // passed its stopping_ check races shutdown() joining the workers, and
-    // its accepted task would otherwise sit in the queue forever.
-    in_flight_submits_.fetch_add(1, std::memory_order_acq_rel);
-    bool pushed = false;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      // Count the task BEFORE publishing it: a worker may pop and finish it
-      // the instant try_push succeeds, and its fetch_sub must never observe
-      // a counter the task is missing from (transient underflow would let
-      // drain() return while work is still in flight).
-      pending_.fetch_add(1, std::memory_order_acq_rel);
-      if (queue_.try_push(std::move(task))) {
-        LockGuard lock(mutex_);
-        cv_.notify_one();
-        pushed = true;
-        break;
-      }
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        LockGuard lock(mutex_);
-        drained_cv_.notify_all();
-      }
-      std::this_thread::yield();
-    }
-    {
-      LockGuard lock(mutex_);
-      if (in_flight_submits_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        submit_done_cv_.notify_all();
-      }
-    }
-    return pushed;
-  }
-
-  /// Blocks until every submitted task has finished executing.
-  void drain() {
-    UniqueLock lock(mutex_);
-    drained_cv_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
-
-  /// Stops accepting tasks, finishes queued work, joins all workers.
-  void shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
-    {
-      LockGuard lock(mutex_);
-      cv_.notify_all();
-    }
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
-    // A submit() that passed its stopping_ check before the CAS above may
-    // publish its task only after every worker exited. Wait for such
-    // stragglers to land, then run whatever is left inline so "accepted
-    // implies executed" holds.
+  /// Enqueues a task, waiting while the ring is full. Returns false once
+  /// shutdown() has begun (the task is dropped). Every task accepted (true
+  /// returned) runs before shutdown() returns.
+  bool submit(std::function<void()> task) PPROX_EXCLUDES(mutex_) {
     {
       UniqueLock lock(mutex_);
-      submit_done_cv_.wait(lock, [this] {
-        return in_flight_submits_.load(std::memory_order_acquire) == 0;
-      });
+      not_full_.wait(lock,
+                     [this] { return stopping_ || size_ < ring_.size(); });
+      if (stopping_) return false;
+      ring_[(head_ + size_) % ring_.size()] = std::move(task);
+      ++size_;
     }
-    while (auto task = queue_.try_pop()) {
-      (*task)();
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        LockGuard lock(mutex_);
-        drained_cv_.notify_all();
-      }
+    not_empty_.notify_one();
+    return true;
+  }
+
+  /// Stops accepting tasks, turns away blocked submitters, runs every
+  /// accepted task and joins all workers. Idempotent.
+  void shutdown() PPROX_EXCLUDES(mutex_) {
+    {
+      LockGuard lock(mutex_);
+      if (stopping_) return;
+      stopping_ = true;
     }
+    not_full_.notify_all();
+    not_empty_.notify_all();
+    for (DetThread& w : workers_) w.join();
   }
 
  private:
-  void worker_loop() {
+  // A worker leaves only once shutdown has begun AND the ring is empty, so
+  // no accepted task is stranded without a thread to run it.
+  void worker_loop() PPROX_EXCLUDES(mutex_) {
     while (true) {
-      auto task = queue_.try_pop();
-      if (task.has_value()) {
-        (*task)();
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          LockGuard lock(mutex_);
-          drained_cv_.notify_all();
-        }
-        continue;
+      std::function<void()> task;
+      {
+        UniqueLock lock(mutex_);
+        not_empty_.wait(lock, [this] { return stopping_ || size_ > 0; });
+        if (size_ == 0) return;
+        task = std::exchange(ring_[head_], nullptr);
+        head_ = (head_ + 1) % ring_.size();
+        --size_;
       }
-      if (stopping_.load(std::memory_order_acquire)) return;
-      // Untimed wait: every try_push success and shutdown() notifies under
-      // mutex_, and the predicate re-checks under mutex_, so no wakeup can
-      // be lost. (An earlier 1ms timed wait "covered" missed notifies by
-      // polling; under a worker-favouring schedule that polling loop never
-      // yields — pprox_check flagged it as an unbounded spin,
-      // tools/traces/pool_worker_spin.txt.)
-      UniqueLock lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               queue_.approx_size() > 0;
-      });
+      not_full_.notify_one();
+      task();
     }
   }
 
-  MpmcQueue<std::function<void()>> queue_;  // lock-free, internally ordered
+  Mutex mutex_;
+  CondVar not_empty_;  // workers wait for a task or shutdown
+  CondVar not_full_;   // submitters wait for a free slot or shutdown
+  std::vector<std::function<void()>> ring_ PPROX_GUARDED_BY(mutex_);
+  std::size_t head_ PPROX_GUARDED_BY(mutex_) = 0;
+  std::size_t size_ PPROX_GUARDED_BY(mutex_) = 0;
+  bool stopping_ PPROX_GUARDED_BY(mutex_) = false;
   std::vector<DetThread> workers_;
-  Atomic<bool> stopping_{false};
-  Atomic<std::size_t> pending_{0};
-  Atomic<std::size_t> in_flight_submits_{0};
-  Mutex mutex_;  // guards only the cv sleep/wake protocol
-  CondVar cv_;
-  CondVar drained_cv_;
-  CondVar submit_done_cv_;  // shutdown() waits out straggling submit()s
 };
 
 }  // namespace pprox::concurrent

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/sync.hpp"
-#include "common/thread_annotations.hpp"
 #include "http/http.hpp"
 
 namespace pprox::net {
@@ -73,37 +72,21 @@ class InProcChannel final : public HttpChannel {
 class RoundRobinChannel final : public HttpChannel {
  public:
   explicit RoundRobinChannel(std::vector<std::shared_ptr<HttpChannel>> backends)
-      : backends_(std::move(backends)), sent_(backends_.size(), 0) {}
+      : backends_(std::move(backends)) {}
 
-  void send(http::HttpRequest request, RespondFn done) override
-      PPROX_EXCLUDES(stats_mutex_) {
+  void send(http::HttpRequest request, RespondFn done) override {
     if (backends_.empty()) {
       done(http::HttpResponse::error_response(503, "no backends"));
       return;
     }
     const std::size_t i =
         next_.fetch_add(1, std::memory_order_relaxed) % backends_.size();
-    {
-      LockGuard lock(stats_mutex_);
-      ++sent_[i];
-    }
     backends_[i]->send(std::move(request), std::move(done));
-  }
-
-  std::size_t backend_count() const { return backends_.size(); }
-
-  /// Requests dispatched to backend `i` so far (load-spread checks in tests
-  /// and the elasticity benches).
-  std::uint64_t sent_to(std::size_t i) const PPROX_EXCLUDES(stats_mutex_) {
-    LockGuard lock(stats_mutex_);
-    return i < sent_.size() ? sent_[i] : 0;
   }
 
  private:
   std::vector<std::shared_ptr<HttpChannel>> backends_;  // fixed after ctor
   Atomic<std::size_t> next_{0};
-  mutable Mutex stats_mutex_;
-  std::vector<std::uint64_t> sent_ PPROX_GUARDED_BY(stats_mutex_);
 };
 
 /// Adapts a synchronous handler function into a RequestSink.

@@ -202,11 +202,8 @@ void ProxyServer::release_request_batch(std::span<PendingRequest> batch) {
         fail(item.done, 400, status.error().message);
         continue;
       }
-      next_->send(std::move(item.request),
-                  [done = std::move(item.done)](http::HttpResponse response) {
-                    // Responses pass through the UA untouched (opaque here).
-                    done(std::move(response));
-                  });
+      // Responses pass through the UA untouched (opaque here).
+      next_->send(std::move(item.request), std::move(item.done));
     }
     recycle_scratch(std::move(scratch));
     return;

@@ -1,126 +1,18 @@
-// Lock-free queue and thread pool: correctness under single-threaded edge
-// cases and no-loss/no-duplication properties under multi-threaded stress.
+// Thread pool: every accepted task runs, shutdown() waits for them and turns
+// later (or blocked) submitters away, and tasks really run in parallel.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <latch>
-#include <map>
-#include <numeric>
 #include <thread>
+#include <vector>
 
-#include "concurrent/mpmc_queue.hpp"
 #include "concurrent/thread_pool.hpp"
 
 namespace pprox::concurrent {
 namespace {
-
-TEST(MpmcQueue, CapacityRoundsToPowerOfTwo) {
-  MpmcQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-  MpmcQueue<int> q2(64);
-  EXPECT_EQ(q2.capacity(), 64u);
-  MpmcQueue<int> q3(1);
-  EXPECT_EQ(q3.capacity(), 2u);
-}
-
-TEST(MpmcQueue, FifoSingleThreaded) {
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.try_push(i));
-  for (int i = 0; i < 10; ++i) {
-    const auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpmcQueue, FullRejectsPush) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));
-  EXPECT_EQ(q.try_pop().value(), 0);
-  EXPECT_TRUE(q.try_push(99));  // slot freed
-}
-
-TEST(MpmcQueue, WrapsAroundManyTimes) {
-  MpmcQueue<int> q(4);
-  for (int round = 0; round < 1000; ++round) {
-    ASSERT_TRUE(q.try_push(round));
-    ASSERT_EQ(q.try_pop().value(), round);
-  }
-}
-
-TEST(MpmcQueue, MoveOnlyPayload) {
-  MpmcQueue<std::unique_ptr<int>> q(8);
-  EXPECT_TRUE(q.try_push(std::make_unique<int>(7)));
-  auto v = q.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 7);
-}
-
-struct StressParams {
-  int producers;
-  int consumers;
-};
-
-class MpmcStress : public ::testing::TestWithParam<StressParams> {};
-
-TEST_P(MpmcStress, NoLossNoDuplication) {
-  const auto [producers, consumers] = GetParam();
-  constexpr int kPerProducer = 20000;
-  MpmcQueue<std::uint64_t> q(1024);
-  std::atomic<int> producers_done{0};
-  std::vector<std::thread> threads;
-
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&q, &producers_done, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t value =
-            (static_cast<std::uint64_t>(p) << 32) | static_cast<std::uint32_t>(i);
-        while (!q.try_push(value)) std::this_thread::yield();
-      }
-      producers_done.fetch_add(1);
-    });
-  }
-
-  std::mutex sink_mutex;
-  std::vector<std::uint64_t> sink;
-  for (int c = 0; c < consumers; ++c) {
-    threads.emplace_back([&] {
-      std::vector<std::uint64_t> local;
-      while (true) {
-        const auto v = q.try_pop();
-        if (v.has_value()) {
-          local.push_back(*v);
-        } else if (producers_done.load() == producers) {
-          // Queue may still have items racing in; one final sweep.
-          while (const auto last = q.try_pop()) local.push_back(*last);
-          break;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      std::lock_guard<std::mutex> lock(sink_mutex);
-      sink.insert(sink.end(), local.begin(), local.end());
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  ASSERT_EQ(sink.size(), static_cast<std::size_t>(producers) * kPerProducer);
-  std::sort(sink.begin(), sink.end());
-  EXPECT_EQ(std::adjacent_find(sink.begin(), sink.end()), sink.end())
-      << "duplicate element consumed";
-  // Per-producer FIFO completeness: every (p, i) present exactly once.
-  std::map<int, int> counts;
-  for (const std::uint64_t v : sink) counts[static_cast<int>(v >> 32)]++;
-  for (int p = 0; p < producers; ++p) EXPECT_EQ(counts[p], kPerProducer);
-}
-
-INSTANTIATE_TEST_SUITE_P(Topologies, MpmcStress,
-                         ::testing::Values(StressParams{1, 1}, StressParams{2, 2},
-                                           StressParams{4, 1}, StressParams{1, 4},
-                                           StressParams{4, 4}));
 
 TEST(ThreadPool, ExecutesAllTasks) {
   ThreadPool pool(4);
@@ -128,16 +20,27 @@ TEST(ThreadPool, ExecutesAllTasks) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_TRUE(pool.submit([&counter] { counter.fetch_add(1); }));
   }
-  pool.drain();
+  pool.shutdown();
   EXPECT_EQ(counter.load(), 1000);
 }
 
-TEST(ThreadPool, DrainWaitsForSlowTasks) {
+// A 4-slot ring taking 10 tasks wraps its indices and blocks the submitter
+// when full; one worker must still run them in submission order.
+TEST(ThreadPool, OneWorkerRunsTasksInSubmitOrder) {
+  ThreadPool pool(1, /*queue_capacity=*/4);
+  std::vector<int> order;  // written only by the one worker
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pool.submit([&order, i] { order.push_back(i); }));
+  }
+  pool.shutdown();  // joins the worker: its writes are visible below
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(ThreadPool, ShutdownWaitsForSlowTasks) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  // The gate holds all four tasks in flight until just before drain(), so
-  // drain() provably observes unfinished work — the old 20ms sleeps only
-  // made that likely, and wasted 40ms of wall clock doing it.
+  // The gate holds all four tasks in flight until just before shutdown(),
+  // so shutdown() provably observes unfinished work.
   std::latch gate(1);
   for (int i = 0; i < 4; ++i) {
     pool.submit([&] {
@@ -146,7 +49,7 @@ TEST(ThreadPool, DrainWaitsForSlowTasks) {
     });
   }
   gate.count_down();
-  pool.drain();
+  pool.shutdown();
   EXPECT_EQ(done.load(), 4);
 }
 
@@ -160,7 +63,6 @@ TEST(ThreadPool, ShutdownIsIdempotent) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   pool.submit([&counter] { counter.fetch_add(1); });
-  pool.drain();
   pool.shutdown();
   pool.shutdown();
   EXPECT_EQ(counter.load(), 1);
@@ -170,8 +72,7 @@ TEST(ThreadPool, TasksRunConcurrently) {
   ThreadPool pool(4);
   // Two tasks rendezvous on a barrier: arrive_and_wait() can only return
   // when both tasks are in flight at once, so completing the rendezvous IS
-  // the overlap proof. (The old version inferred overlap from 30ms sleeps
-  // lining up — slow, and false-negative under an unlucky scheduler.)
+  // the overlap proof.
   std::barrier rendezvous(2);
   std::atomic<int> overlapped{0};
   for (int i = 0; i < 2; ++i) {
@@ -180,7 +81,7 @@ TEST(ThreadPool, TasksRunConcurrently) {
       overlapped.fetch_add(1);
     });
   }
-  pool.drain();
+  pool.shutdown();
   EXPECT_EQ(overlapped.load(), 2);
 }
 
@@ -193,9 +94,43 @@ TEST(ThreadPool, SubmitFromWorkerThread) {
     pool.submit([&] { counter.fetch_add(1); });
     inner_submitted.count_down();
   });
-  inner_submitted.wait();  // drain() may not see the inner task before this
-  pool.drain();
+  inner_submitted.wait();  // else shutdown() could refuse the inner task
+  pool.shutdown();
   EXPECT_EQ(counter.load(), 2);
+}
+
+// One worker held on a latch, a full ring behind it, and one more submit()
+// blocked on another thread: shutdown() must turn that submitter away with
+// false, and still run every task accepted before it.
+TEST(ThreadPool, ShutdownTurnsAwayBlockedSubmit) {
+  ThreadPool pool(1, /*queue_capacity=*/2);
+  std::atomic<int> ran{0};
+  std::latch worker_held(1);
+  std::latch release_worker(1);
+  // EXPECT, not ASSERT: an early return would leave the worker held and
+  // the pool's destructor waiting on it forever.
+  EXPECT_TRUE(pool.submit([&] {
+    worker_held.count_down();
+    release_worker.wait();
+    ran.fetch_add(1);
+  }));
+  worker_held.wait();  // the ring is empty again: the worker took the task
+  EXPECT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
+  EXPECT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
+
+  std::atomic<bool> late_accepted{true};
+  std::thread late([&] {
+    late_accepted.store(pool.submit([&] { ran.fetch_add(100); }));
+  });
+  // Give the late submitter time to park on the full ring. The outcome is
+  // the same if it has not got there yet: it then finds shutdown begun.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread closer([&] { pool.shutdown(); });
+  late.join();  // returns only once shutdown() has begun
+  EXPECT_FALSE(late_accepted.load());
+  release_worker.count_down();
+  closer.join();
+  EXPECT_EQ(ran.load(), 3);
 }
 
 }  // namespace

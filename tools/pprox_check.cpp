@@ -15,10 +15,10 @@
 //
 // Build: -DPPROX_MODEL_CHECK=ON (tools/CMakeLists.txt only adds this
 // target in that configuration). -DPPROX_CHECK_SELFTEST=ON additionally
-// runs every model on its pre-fix subject — the shuffle, mpmc and pool
-// models on the small variants below, rotation and lockorder on the pre-fix
-// branch of their bodies — so every model must FAIL: a permanent regression
-// test of the checker itself. The production headers carry no selftest code.
+// runs every model on a buggy subject — the shuffle and pool models on the
+// small variants below, rotation and lockorder on the pre-fix branch of
+// their bodies — so every model must FAIL: a permanent regression test of
+// the checker itself. The production headers carry no selftest code.
 #ifndef PPROX_MODEL_CHECK
 #error "pprox_check requires -DPPROX_MODEL_CHECK (see tools/CMakeLists.txt)"
 #endif
@@ -27,17 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/sync.hpp"
-#include "concurrent/mpmc_queue.hpp"
 #include "concurrent/thread_pool.hpp"
 #include "pprox/shuffle.hpp"
 
@@ -214,197 +210,26 @@ void model_shuffle() {
 }
 
 // ---------------------------------------------------------------------------
-// Model: mpmc — MpmcQueue linearizability against a sequential FIFO spec.
-//
-// The Vyukov queue is the proxy's server-thread -> enclave-pool hand-off;
-// a lost or duplicated packet there silently drops or replays a client
-// request. Every try_push/try_pop records its invocation/response step
-// interval; after the threads join, a Wing–Gong style search looks for a
-// total order that (a) respects real-time precedence and (b) replays
-// correctly against a bounded FIFO queue. No such order => not linearizable.
-// ---------------------------------------------------------------------------
-
-struct QueueOp {
-  bool is_push = false;
-  int arg = 0;             // pushed value
-  bool push_ok = false;    // try_push result
-  bool pop_has = false;    // try_pop returned a value
-  int pop_val = 0;
-  std::uint64_t inv = 0;   // det::current_step() before the call
-  std::uint64_t res = 0;   // det::current_step() after the call
-};
-
-bool linearize(const std::vector<QueueOp>& ops, std::vector<bool>& used,
-               std::deque<int>& fifo, std::size_t capacity, std::size_t done) {
-  if (done == ops.size()) return true;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (used[i]) continue;
-    // Minimality: i may linearize next only if no pending op finished
-    // strictly before i was invoked. (Equal step counts are treated as
-    // concurrent — conservative: more candidate orders, never a false alarm.)
-    bool minimal = true;
-    for (std::size_t j = 0; j < ops.size() && minimal; ++j) {
-      if (!used[j] && j != i && ops[j].res < ops[i].inv) minimal = false;
-    }
-    if (!minimal) continue;
-
-    const QueueOp& op = ops[i];
-    used[i] = true;
-    if (op.is_push) {
-      const bool ok = fifo.size() < capacity;
-      if (ok == op.push_ok) {
-        if (ok) fifo.push_back(op.arg);
-        if (linearize(ops, used, fifo, capacity, done + 1)) return true;
-        if (ok) fifo.pop_back();
-      }
-    } else {
-      if (fifo.empty()) {
-        if (!op.pop_has &&
-            linearize(ops, used, fifo, capacity, done + 1)) {
-          return true;
-        }
-      } else if (op.pop_has && op.pop_val == fifo.front()) {
-        const int front = fifo.front();
-        fifo.pop_front();
-        if (linearize(ops, used, fifo, capacity, done + 1)) return true;
-        fifo.push_front(front);
-      }
-    }
-    used[i] = false;
-  }
-  return false;
-}
-
-#ifdef PPROX_CHECK_SELFTEST
-// Pre-fix MpmcQueue<int>: the same Vyukov push, but a dequeue that claims a
-// slot with fetch_add BEFORE checking its sequence. A pop racing an
-// in-flight push burns the slot and returns empty, so the pushed element is
-// skipped forever.
-class LostSlotMpmc {
- public:
-  explicit LostSlotMpmc(std::size_t capacity) : cells_(capacity) {
-    for (std::size_t i = 0; i < capacity; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  std::size_t capacity() const { return cells_.size(); }
-
-  bool try_push(int value) {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& cell = cells_[pos % cells_.size()];
-      const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-      const std::intptr_t diff = static_cast<std::intptr_t>(seq) -
-                                 static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed)) {
-          cell.value = value;
-          cell.sequence.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (diff < 0) {
-        return false;  // full
-      } else {
-        pos = tail_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  std::optional<int> try_pop() {
-    const std::size_t pos = head_.fetch_add(1, std::memory_order_relaxed);
-    Cell& cell = cells_[pos % cells_.size()];
-    const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
-    if (seq != pos + 1) return std::nullopt;  // slot burned: element lost
-    const int value = cell.value;
-    cell.sequence.store(pos + cells_.size(), std::memory_order_release);
-    return value;
-  }
-
- private:
-  struct Cell {
-    Atomic<std::size_t> sequence{0};
-    int value = 0;
-  };
-  std::vector<Cell> cells_;
-  Atomic<std::size_t> head_{0};
-  Atomic<std::size_t> tail_{0};
-};
-#endif  // PPROX_CHECK_SELFTEST
-
-template <typename Queue>  // MpmcQueue<int>, or LostSlotMpmc
-void model_mpmc() {
-  Queue queue(2);
-  // Per-slot records, disjoint per thread; reads happen after join().
-  QueueOp ops[4];
-
-  auto record_push = [&](int slot, int value) {
-    ops[slot].is_push = true;
-    ops[slot].arg = value;
-    ops[slot].inv = det::current_step();
-    ops[slot].push_ok = queue.try_push(value);
-    ops[slot].res = det::current_step();
-  };
-  auto record_pop = [&](int slot) {
-    ops[slot].is_push = false;
-    ops[slot].inv = det::current_step();
-    const std::optional<int> value = queue.try_pop();
-    ops[slot].res = det::current_step();
-    ops[slot].pop_has = value.has_value();
-    ops[slot].pop_val = value.value_or(0);
-  };
-
-  DetThread producer(
-      [&] {
-        record_push(0, 1);
-        record_push(1, 2);
-      },
-      "producer");
-  DetThread consumer1([&] { record_pop(2); }, "consumer-1");
-  DetThread consumer2([&] { record_pop(3); }, "consumer-2");
-  producer.join();
-  consumer1.join();
-  consumer2.join();
-
-  std::vector<QueueOp> history(ops, ops + 4);
-  std::vector<bool> used(history.size(), false);
-  std::deque<int> fifo;
-  if (!linearize(history, used, fifo, queue.capacity(), 0)) {
-    std::string msg = "MpmcQueue history not linearizable vs FIFO spec:";
-    for (const QueueOp& op : history) {
-      msg += op.is_push
-                 ? " push(" + std::to_string(op.arg) + ")=" +
-                       (op.push_ok ? "ok" : "full")
-                 : " pop()=" + (op.pop_has ? std::to_string(op.pop_val)
-                                           : std::string("empty"));
-    }
-    det::model_fail(msg);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Model: pool — ThreadPool must not lose accepted tasks on shutdown.
 //
 // The pool is the in-enclave data-processing stage (§5); a task accepted by
 // submit() carries a client request, so "accepted but never executed" is a
-// silently dropped request. The pre-fix submit() could pass its stopping_
-// check, lose the CPU, and publish its task after shutdown() had already
-// joined every worker (tools/traces/pool_lost_task.txt). Invariants:
+// silently dropped request. A worker may only leave once shutdown has begun
+// AND the ring is empty: one that leaves on the stop flag alone strands
+// the tasks still queued (tools/traces/pool_lost_task.txt). Invariants:
 //   * submit() returning true implies the task ran by the time shutdown()
 //     and the submitter both completed;
 //   * submit() after shutdown() returns false.
 // ---------------------------------------------------------------------------
 
 #ifdef PPROX_CHECK_SELFTEST
-// Pre-fix ThreadPool: submit() checks stopping_ and then publishes, and
-// shutdown() only joins the workers. A submit() that passed its check can
-// lose the CPU and publish its task after every worker exited, so the task
-// is accepted but never runs.
+// ThreadPool with one planted bug: its worker leaves as soon as it sees
+// stopping_, even while accepted tasks are still in the ring, so a task
+// submitted just before shutdown() is accepted but never runs.
 class LostTaskPool {
  public:
   LostTaskPool(std::size_t num_threads, std::size_t queue_capacity)
-      : queue_(queue_capacity) {
+      : ring_(queue_capacity) {
     for (std::size_t i = 0; i < num_threads; ++i) {
       workers_.emplace_back(
           DetThread([this] { worker_loop(); }, "pool-worker"));
@@ -414,50 +239,54 @@ class LostTaskPool {
   ~LostTaskPool() { shutdown(); }
 
   bool submit(std::function<void()> task) {
-    while (!stopping_.load(std::memory_order_acquire)) {
-      if (queue_.try_push(std::move(task))) {
-        LockGuard lock(mutex_);
-        cv_.notify_one();
-        return true;
-      }
-      std::this_thread::yield();
+    {
+      UniqueLock lock(mutex_);
+      not_full_.wait(lock,
+                     [this] { return stopping_ || size_ < ring_.size(); });
+      if (stopping_) return false;
+      ring_[(head_ + size_) % ring_.size()] = std::move(task);
+      ++size_;
     }
-    return false;
+    not_empty_.notify_one();
+    return true;
   }
 
   void shutdown() {
-    bool expected = false;
-    if (!stopping_.compare_exchange_strong(expected, true)) return;
     {
       LockGuard lock(mutex_);
-      cv_.notify_all();
+      if (stopping_) return;
+      stopping_ = true;
     }
-    for (DetThread& w : workers_) {
-      if (w.joinable()) w.join();
-    }
+    not_full_.notify_all();
+    not_empty_.notify_all();
+    for (DetThread& w : workers_) w.join();
   }
 
  private:
   void worker_loop() {
     while (true) {
-      if (auto task = queue_.try_pop()) {
-        (*task)();
-        continue;
+      std::function<void()> task;
+      {
+        UniqueLock lock(mutex_);
+        not_empty_.wait(lock, [this] { return stopping_ || size_ > 0; });
+        if (stopping_) return;  // the bug: the ring may still hold tasks
+        task = std::exchange(ring_[head_], nullptr);
+        head_ = (head_ + 1) % ring_.size();
+        --size_;
       }
-      if (stopping_.load(std::memory_order_acquire)) return;
-      UniqueLock lock(mutex_);
-      cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_acquire) ||
-               queue_.approx_size() > 0;
-      });
+      not_full_.notify_one();
+      task();
     }
   }
 
-  pprox::concurrent::MpmcQueue<std::function<void()>> queue_;
-  std::vector<DetThread> workers_;
-  Atomic<bool> stopping_{false};
   Mutex mutex_;
-  CondVar cv_;
+  CondVar not_empty_;
+  CondVar not_full_;
+  std::vector<std::function<void()>> ring_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+  bool stopping_ = false;
+  std::vector<DetThread> workers_;
 };
 #endif  // PPROX_CHECK_SELFTEST
 
@@ -672,11 +501,9 @@ struct ModelEntry {
 
 #ifdef PPROX_CHECK_SELFTEST
 using ShuffleSubject = StaleDeadlineShuffle;
-using MpmcSubject = LostSlotMpmc;
 using PoolSubject = LostTaskPool;
 #else
 using ShuffleSubject = ShuffleQueue<int>;
-using MpmcSubject = pprox::concurrent::MpmcQueue<int>;
 using PoolSubject = pprox::concurrent::ThreadPool;
 #endif
 
@@ -684,8 +511,6 @@ constexpr ModelEntry kModels[] = {
     {"shuffle",
      "ShuffleQueue: no item lost/duplicated; flush at exactly S or timer",
      &model_shuffle<ShuffleSubject>},
-    {"mpmc", "MpmcQueue: linearizable against a bounded FIFO spec",
-     &model_mpmc<MpmcSubject>},
     {"pool", "ThreadPool: no accepted task lost across shutdown()",
      &model_pool<PoolSubject>},
     {"rotation",

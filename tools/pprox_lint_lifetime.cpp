@@ -103,9 +103,9 @@ const std::set<std::string> kCharTypeNames = {"char", "uint8_t",
                                               "unsigned"};
 
 /// Builtin sink calls: a callable argument outlives the calling frame.
-/// ThreadPool::submit and ShuffleQueue::add are also derived
-/// interprocedurally (their bodies push the parameter into a member), but
-/// the builtin names keep fixtures self-contained.
+/// ThreadPool::submit needs the name: it move-assigns the task into a ring
+/// slot, a store the member scan below does not follow. The names also
+/// keep fixtures self-contained.
 const std::set<std::string> kSinkCallNames = {"submit", "enqueue",
                                               "dispatch", "defer"};
 
