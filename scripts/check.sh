@@ -25,14 +25,12 @@
 #                              # build on pre-fix variants (models must fail)
 #                              # and the planted timing leak (ct_bench_selftest
 #                              # must fail)
-#   scripts/check.sh --bench   # regression gate: run bench_crypto /
-#                              # bench_pipeline, compare against the
-#                              # committed BENCH_*.json via bench_report.py
-#                              # --compare; fails on > PPROX_BENCH_THRESHOLD
-#                              # (default 0.15 = 15%) cpu-time regression
-#   scripts/check.sh --bench-update
-#                              # rewrite BENCH_crypto.json / BENCH_pipeline.
-#                              # json at the repo root from a fresh run
+#   scripts/check.sh --bench [BASE]
+#                              # paired regression gate (~35 min, one quiet
+#                              # host): BASE (default HEAD) against the
+#                              # working tree in alternating pairs, every
+#                              # BENCHMARK.json workload through perfbench
+#                              # plus bench_crypto; see scripts/bench_gate.py
 #   scripts/check.sh --tidy    # clang-tidy only (needs LLVM installed)
 #
 # Every stage is wall-clocked; a summary table prints at the end with a
@@ -56,7 +54,6 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-full}"
-BENCH_THRESHOLD="${PPROX_BENCH_THRESHOLD:-0.15}"
 
 # Abort on the first sanitizer report instead of limping on; TSan history
 # sized for the deep happens-before graphs of the pipeline tests.
@@ -66,7 +63,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:history_size=7"
 
 # Sanitized/model runs exercise the portable crypto reference; accelerated
 # kernels are covered by test_accel's explicit backend pinning (see header).
-case "$MODE" in --bench|--bench-update) ;; *) export PPROX_DISABLE_ACCEL=1 ;; esac
+[[ "$MODE" == "--bench" ]] || export PPROX_DISABLE_ACCEL=1
 
 # --- stage bookkeeping ------------------------------------------------------
 STAGE_NAMES=()
@@ -156,39 +153,26 @@ run_tidy() {
 }
 
 run_bench() {
-  # A Release tree so the numbers reflect the shipped optimization level,
-  # not RelWithDebInfo sanitizer scaffolding. Each binary runs both backend
-  # variants in one process (BENCHMARK_CAPTURE pins Backend::kPortable /
-  # kAccelerated), so the speedup column compares like with like.
-  local update="$1"
-  step "bench: build + run crypto and pipeline benchmarks"
-  cmake -B "$ROOT/build-bench" -S "$ROOT" \
-        -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$ROOT/build-bench" -j "$JOBS" \
-        --target bench_crypto bench_pipeline
-  local name
-  for name in crypto pipeline; do
-    "$ROOT/build-bench/bench/bench_$name" \
-        --benchmark_format=json --benchmark_out_format=json \
-        --benchmark_out="$ROOT/build-bench/bench_${name}_raw.json" >/dev/null
-    python3 "$ROOT/scripts/bench_report.py" \
-        "$ROOT/build-bench/bench_${name}_raw.json" \
-        "$ROOT/build-bench/BENCH_${name}.json"
-  done
-
-  if [[ "$update" == 1 ]]; then
-    step "bench baseline update: BENCH_crypto.json, BENCH_pipeline.json"
-    cp "$ROOT/build-bench/BENCH_crypto.json" "$ROOT/BENCH_crypto.json"
-    cp "$ROOT/build-bench/BENCH_pipeline.json" "$ROOT/BENCH_pipeline.json"
-  else
-    step "bench regression gate (threshold ${BENCH_THRESHOLD})"
-    for name in crypto pipeline; do
-      echo "BENCH_${name}.json vs fresh run:"
-      python3 "$ROOT/scripts/bench_report.py" --compare \
-          "$ROOT/BENCH_${name}.json" "$ROOT/build-bench/BENCH_${name}.json" \
-          --threshold "$BENCH_THRESHOLD"
-    done
+  # BASE is extracted once per commit (the sha stamp guards reuse, since
+  # git archive stamps every file with the commit time and an incremental
+  # build over a different tree could miss changes). Exit 3 from the gate
+  # means no FAIL but some row unresolved: the stage ends `warn`.
+  local base="$1" sha dir="$ROOT/build-bench/parent" rc=0
+  step "bench: ${base} vs working tree, paired (scripts/bench_gate.py)"
+  sha="$(git -C "$ROOT" rev-parse --verify "$base^{commit}")"
+  if [[ "$(cat "$dir/sha" 2>/dev/null)" != "$sha" ]]; then
+    rm -rf "$dir"
+    mkdir -p "$dir/tree"
+    git -C "$ROOT" archive "$sha" | tar -x -C "$dir/tree"
+    echo "$sha" >"$dir/sha"
   fi
+  python3 "$ROOT/scripts/bench_gate.py" "$dir/tree" "$ROOT" \
+      "$ROOT/build-bench" || rc=$?
+  case "$rc" in
+    0) ;;
+    3) CURRENT_STATUS="warn" ;;
+    *) return "$rc" ;;
+  esac
 }
 
 if [[ "$MODE" == "--tidy" ]]; then
@@ -198,8 +182,8 @@ if [[ "$MODE" == "--tidy" ]]; then
   exit 0
 fi
 
-if [[ "$MODE" == "--bench" || "$MODE" == "--bench-update" ]]; then
-  run_bench "$([[ "$MODE" == "--bench-update" ]] && echo 1 || echo 0)"
+if [[ "$MODE" == "--bench" ]]; then
+  run_bench "${2:-HEAD}"
   step "bench gate PASSED"
   summary
   exit 0

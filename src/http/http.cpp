@@ -7,6 +7,12 @@
 namespace pprox::http {
 namespace {
 
+// Caps on what one message may make the parser buffer, so a broken or
+// hostile peer cannot grow a connection without bound: the head is read
+// before its end is seen, the body is read up to its Content-Length.
+constexpr std::size_t kMaxHeadBytes = 64 * 1024;
+constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
+
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -151,7 +157,7 @@ std::optional<HttpParser::Head> HttpParser::try_parse_head() {
   const std::size_t head_end = buffer_.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     // Guard against unbounded header growth from a broken peer.
-    if (buffer_.size() > 64 * 1024) broken_ = true;
+    if (buffer_.size() > kMaxHeadBytes) broken_ = true;
     return std::nullopt;
   }
   Head head;
@@ -179,7 +185,8 @@ std::optional<HttpParser::Head> HttpParser::try_parse_head() {
     std::size_t len = 0;
     const auto [ptr, ec] =
         std::from_chars(cl->data(), cl->data() + cl->size(), len);
-    if (ec != std::errc() || ptr != cl->data() + cl->size()) {
+    if (ec != std::errc() || ptr != cl->data() + cl->size() ||
+        len > kMaxBodyBytes) {
       broken_ = true;
       return std::nullopt;
     }

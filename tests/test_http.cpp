@@ -133,6 +133,24 @@ TEST(HttpParser, BadContentLengthBreaksStream) {
   parser.feed("GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n");
   EXPECT_FALSE(parser.next_request().has_value());
   EXPECT_TRUE(parser.broken());
+
+  // SIZE_MAX would wrap `consumed + body_len` and hand the next request's
+  // bytes out as this one's body, then parse them again as a request.
+  HttpParser wrap(HttpParser::Mode::kRequest);
+  wrap.feed("POST /events HTTP/1.1\r\nContent-Length: 18446744073709551615"
+            "\r\n\r\nGET /queries HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_FALSE(wrap.next_request().has_value());
+  EXPECT_TRUE(wrap.broken());
+
+  // A huge declared length must not let the peer grow the buffer.
+  HttpParser huge(HttpParser::Mode::kRequest);
+  huge.feed("POST /events HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n");
+  const std::string chunk(1 << 20, 'x');
+  for (int i = 0; i < 4 && !huge.broken(); ++i) {
+    huge.feed(chunk);
+    EXPECT_FALSE(huge.next_request().has_value());
+  }
+  EXPECT_TRUE(huge.broken());
 }
 
 TEST(HttpParser, OversizedHeadersBreakStream) {
