@@ -71,15 +71,29 @@ def failed_share(runs):
     return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
 
 
+def why_incorrect(run):
+    """Why perfbench marked a run correct: false: the `invalid run:` lines of
+    its validity guards, and the failed answers if there were any, with the
+    run's log."""
+    reasons = list(run["invalid"])
+    if run["failed"] or not reasons:
+        reasons.append("failed %d of %d" % (run["failed"], run["attempted"]))
+    return "seed %d: %s (log: %s)" % (run["seed"], "; ".join(reasons),
+                                      run["log"])
+
+
 def judge_workload(end_to_end, parent_runs, change_runs):
     """Returns (rows, problems): a judge() row per end-to-end metric, keyed by
     name, and the FAIL reasons that belong to no metric (correctness, failed
-    share)."""
+    share). An incorrect-run reason lists each such run's why_incorrect()
+    on the lines under it."""
     problems = []
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
-        wrong = sum(1 for r in runs if not r["correct"])
+        wrong = [r for r in runs if not r["correct"]]
         if wrong:
-            problems.append("%d %s run(s) with correct: false" % (wrong, side))
+            problems.append("\n      ".join(
+                ["%d %s run(s) with correct: false" % (len(wrong), side)] +
+                [why_incorrect(r) for r in wrong]))
     if failed_share(change_runs) > failed_share(parent_runs):
         problems.append("failed share %.4g on the change side, %.4g on the parent"
                         % (failed_share(change_runs), failed_share(parent_runs)))
@@ -159,6 +173,12 @@ def crypto_run(binary, log_path):
             for b in raw["benchmarks"]}
 
 
+def invalid_lines(log_path):
+    """The `invalid run: ...` lines perfbench's validity guards wrote."""
+    with open(log_path) as log:
+        return [line.strip() for line in log if line.startswith("invalid run:")]
+
+
 def perfbench_run(tree, target_dir, workload, seed, seconds, log_path):
     out = run_logged(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -167,6 +187,7 @@ def perfbench_run(tree, target_dir, workload, seed, seconds, log_path):
         env=dict(os.environ, CARGO_TARGET_DIR=target_dir))
     result = json.loads(out.strip().splitlines()[-1])
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    result.update(seed=seed, log=log_path, invalid=invalid_lines(log_path))
     return result
 
 

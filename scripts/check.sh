@@ -36,9 +36,8 @@
 # Every stage is wall-clocked; a summary table prints at the end with a
 # per-stage status column (ok / warn / FAIL), and a failure reports the
 # stage it died in (fail-fast via ERR trap). Lint stages that exit 2
-# (operational warning) or report stale baseline entries finish as `warn`
-# instead of folding into success — the gate still passes, but the state
-# is visible.
+# (operational warning) finish as `warn` instead of folding into success —
+# the gate still passes, but the state is visible.
 #
 # Sanitizer and model-check stages run with PPROX_DISABLE_ACCEL=1: the
 # portable reference path is the one whose every byte ASan/UBSan/TSan can
@@ -111,18 +110,15 @@ on_error() {
 trap on_error ERR
 
 # Runs one pprox_lint invocation, mapping its exit-code convention onto the
-# stage status: 0 is ok (downgraded to `warn` if stale baseline entries were
-# reported), 2 (operational warning: unreadable input, missing baseline) is
-# `warn` and does NOT abort the gate, and 1 (findings/regressions) fails the
-# stage via the ERR trap as before.
+# stage status: 0 is ok, 2 (operational warning: unreadable input, missing
+# baseline) is `warn` and does NOT abort the gate, and 1 (findings,
+# regressions or stale baseline entries) fails the stage via the ERR trap.
 run_lint() {
   local rc=0 out
   out="$("$@" 2>&1)" || rc=$?
   printf '%s\n' "$out"
   case "$rc" in
-    0) if grep -q 'note: baseline entry no longer fires' <<<"$out"; then
-         CURRENT_STATUS="warn"
-       fi ;;
+    0) ;;
     2) printf '\033[1;33mwarn: %s exited 2 (operational warning)\033[0m\n' \
          "$1" >&2
        CURRENT_STATUS="warn" ;;
@@ -266,8 +262,9 @@ ctest --test-dir "$ROOT/build-asan" -R '^lint_fixture_' \
       --output-on-failure -j "$JOBS"
 
 if [[ "$MODE" == "--quick" ]]; then
-  # test_batch is the batched-vs-sequential ecall differential (DESIGN.md
-  # §15): under ASan it also proves the arena recycling/wipe discipline.
+  # test_batch is the ecall differential, one batch of S against S batches
+  # of one (DESIGN.md §15): under ASan it also proves the arena
+  # recycling/wipe discipline.
   step "ASan/UBSan smoke: test_concurrent + test_pipeline + test_batch"
   configure_and_build build-asan "address;undefined" \
       --target test_concurrent test_pipeline test_batch

@@ -378,13 +378,18 @@ std::string escape(std::string_view raw) {
 std::optional<std::pair<std::size_t, std::size_t>> find_string_field(
     std::string_view buffer, std::string_view key) {
   // Walk the buffer token by token, skipping string literals so a key inside
-  // a value never matches. A full parse is unnecessary: the proxy only needs
-  // "key": "value" pairs, which this scan finds at any nesting level.
+  // a value never matches, and counting object/array depth outside them so
+  // only the top-level object's keys match — the ones the DOM reads
+  // (JsonValue::find), so the proxies rewrite the field the LRS consumes. A
+  // full parse is unnecessary: the proxy only needs "key": "value" pairs.
   std::size_t pos = 0;
+  int depth = 0;
   while (pos < buffer.size()) {
     const char c = buffer[pos];
     // PPROX-CT-OK(branch): wire-format body scan, public framing.
     if (c != '"') {
+      if (c == '{' || c == '[') ++depth;  // PPROX-CT-OK(branch): framing
+      if (c == '}' || c == ']') --depth;  // PPROX-CT-OK(branch): framing
       ++pos;
       continue;
     }
@@ -403,7 +408,7 @@ std::optional<std::pair<std::size_t, std::size_t>> find_string_field(
     }
     // PPROX-CT-OK(branch): scans the wire-format request body; field names
     // and framing are public schema.
-    if (cursor < buffer.size() && buffer[cursor] == ':' &&
+    if (depth == 1 && cursor < buffer.size() && buffer[cursor] == ':' &&
         buffer.substr(key_begin, key_end - key_begin) == key) {
       ++cursor;
       // PPROX-CT-OK(branch): wire-format body scan, public framing.

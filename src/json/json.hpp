@@ -82,14 +82,15 @@ std::string escape(std::string_view raw);
 
 // ---------------------------------------------------------------------------
 // In-place editing over a serialized JSON buffer (enclave hot path).
-// Only string-valued top-level-ish fields are needed by the proxy: it swaps
+// Only string-valued top-level fields are needed by the proxy: it swaps
 // identifier ciphertexts without reserializing the document.
 // ---------------------------------------------------------------------------
 
-/// Locates the value of the first occurrence of `"key": "<value>"` anywhere
+/// Locates the value of the first `"key": "<value>"` of the top-level object
 /// in `buffer` and returns the [begin, end) offsets of <value> (quotes
-/// excluded). Fields inside nested objects/arrays are found too; keys inside
-/// string values are not matched. Returns nullopt when absent.
+/// excluded). Keys inside nested objects/arrays or inside string values are
+/// not matched, so the field found is the one JsonValue::find reads after a
+/// parse. Returns nullopt when absent.
 std::optional<std::pair<std::size_t, std::size_t>> find_string_field(
     std::string_view buffer, std::string_view key);
 

@@ -67,12 +67,12 @@ Result<ClientLibrary::GetCall> ClientLibrary::build_get_request(
   // Fresh temporary key per get call (paper §4.1): protects the returned
   // list from the UA layer; encrypted so only the IA layer can recover it.
   Bytes k_u = rng_->bytes(32);
-  auto enc_key = crypto::rsa_encrypt_oaep(params_.pk_ia, k_u, *rng_);
+  auto enc_key = encrypt_block_for(params_.pk_ia, k_u);
   if (!enc_key.ok()) return enc_key.error();
 
   json::JsonValue body{json::JsonObject{}};
   body.set(fields::kUser, enc_user.value());
-  body.set(fields::kTempKey, base64_encode(enc_key.value()));
+  body.set(fields::kTempKey, enc_key.value());
 
   GetCall call;
   call.request.method = "POST";

@@ -82,6 +82,8 @@ class ClientLibrary {
     return encrypt_block_for(pk,
                              taint::declassify_for_encryption(block.value()));
   }
+  /// RSA-OAEP-wraps `block` for the layer holding `pk`, base64-encoded: the
+  /// client side of that layer's open_field.
   Result<std::string> encrypt_block_for(const crypto::RsaPublicKey& pk,
                                         ByteView block);
 

@@ -2,10 +2,10 @@
 #include "pprox/logic_ia.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/encoding.hpp"
 #include "crypto/gcm.hpp"
-#include "crypto/rsa.hpp"
 #include "json/json.hpp"
 #include "pprox/pseudonymize.hpp"
 
@@ -20,119 +20,87 @@ Result<IaLogic> IaLogic::from_secrets(ByteView secrets_blob) {
   return IaLogic(std::move(secrets.value()));
 }
 
-Result<SensitiveBlock<taint::ItemDomain>> IaLogic::decrypt_item_block(
-    std::string_view base64_cipher) const {
-  const auto cipher = base64_decode(base64_cipher);
-  // PPROX-CT-OK(branch): base64 framing of adversary-chosen wire input.
-  if (!cipher) return Error::parse("field is not valid base64");
-  auto plain = crypto::rsa_decrypt_oaep(secrets_.sk, *cipher);
-  // PPROX-CT-OK(branch): the unpad itself is branch-free (rsa_unpad_oaep);
-  // this reveals only the accept/reject bit the response already carries.
-  if (!plain.ok()) return plain.error();
-  return SensitiveBlock<taint::ItemDomain>{std::move(plain.value())};
-}
-
-Result<Bytes> IaLogic::decrypt_key_field(std::string_view base64_cipher) const {
-  const auto cipher = base64_decode(base64_cipher);
-  // PPROX-CT-OK(branch): base64 framing of adversary-chosen wire input.
-  if (!cipher) return Error::parse("field is not valid base64");
-  return crypto::rsa_decrypt_oaep(secrets_.sk, *cipher);
-}
-
-Result<std::string> IaLogic::transform_post_request(std::string body,
-                                                    bool pseudonymize_items) const {
+Status IaLogic::transform_post_request(IaRequestSlot& slot) const {
+  std::string& body = *slot.body;
   const auto item_cipher = json::get_string_field(body, fields::kItem);
   // PPROX-CT-OK(branch): presence of the item field is public JSON framing.
   if (!item_cipher) return Error::parse("post has no item field");
+  std::string item;
   // PPROX-CT-OK(branch): deployment-config flag (paper §6.3 opt-out), fixed
   // per tenant at startup — not per-request secret data.
-  if (pseudonymize_items) {
+  if (slot.pseudonymize_items) {
     auto pseudonym =
         pseudonymize_field<taint::ItemDomain>(secrets_.sk, det_, *item_cipher);
     if (!pseudonym.ok()) return pseudonym.error();
-    json::replace_string_field(body, fields::kItem, pseudonym.value());
+    item = std::move(pseudonym.value());
   } else {
-    auto block = decrypt_item_block(*item_cipher);
-    if (!block.ok()) return block.error();
-    auto id = unpad_sensitive_id(block.value());
+    auto plain = open_field(secrets_.sk, *item_cipher);
+    if (!plain.ok()) return plain.error();
+    auto id = unpad_sensitive_id(
+        SensitiveBlock<taint::ItemDomain>{std::move(plain.value())});
     if (!id.ok()) return id.error();
     // PPROX-DECLASSIFY: §6.3 item-pseudonymization opt-out — the operator
     // chose a semantics-aware LRS; item ids (never user ids — the domain
     // constraint enforces it) are forwarded in the clear.
-    json::replace_string_field(body, fields::kItem,
-                               taint::declassify_for_lrs(std::move(id.value())));
+    item = taint::declassify_for_lrs(std::move(id.value()));
   }
   // Optional payload (rating, weight, ...): decrypt and forward in usable
   // form — the LRS needs the actual value, and it carries no identifier.
+  std::optional<std::string> payload;
   // PPROX-CT-OK(branch): presence of the optional payload field is public
   // JSON framing of the adversary-visible request body.
   if (const auto payload_cipher =
           json::get_string_field(body, fields::kPayload)) {
-    auto block = decrypt_item_block(*payload_cipher);
-    if (!block.ok()) return block.error();
-    auto payload = unpad_sensitive_id(block.value());
-    if (!payload.ok()) return payload.error();
+    auto plain = open_field(secrets_.sk, *payload_cipher);
+    if (!plain.ok()) return plain.error();
+    auto value = unpad_sensitive_id(
+        SensitiveBlock<taint::ItemDomain>{std::move(plain.value())});
+    if (!value.ok()) return value.error();
     // PPROX-DECLASSIFY: event payloads are identifier-free values the LRS
     // must read to train (paper §2.1); they ride the IA path so only the IA
     // layer ever decrypts them.
-    json::replace_string_field(
-        body, fields::kPayload,
-        json::escape(taint::declassify_for_lrs(std::move(payload.value()))));
+    payload = json::escape(taint::declassify_for_lrs(std::move(value.value())));
   }
-  return body;
+  // Every field opened: only now is the body rewritten.
+  json::replace_string_field(body, fields::kItem, item);
+  if (payload) json::replace_string_field(body, fields::kPayload, *payload);
+  return Status::ok_status();
 }
 
-Result<IaLogic::GetRequest> IaLogic::transform_get_request(std::string body) const {
-  const auto key_cipher = json::get_string_field(body, fields::kTempKey);
+Status IaLogic::transform_get_request(IaRequestSlot& slot) const {
+  const auto key_cipher = json::get_string_field(*slot.body, fields::kTempKey);
   // PPROX-CT-OK(branch): presence of the field is public JSON framing.
   if (!key_cipher) return Error::parse("get has no temporary key field");
-  auto k_u = decrypt_key_field(*key_cipher);
+  // Key material, not an identifier: k_u stays raw Bytes and lives in the EPC.
+  auto k_u = open_field(secrets_.sk, *key_cipher);
   if (!k_u.ok()) return k_u.error();
   if (k_u.value().size() != 32) {
     return Error::crypto("temporary key has wrong length");
   }
   // Strip the key from the forwarded call: the LRS never sees k_u, and all
   // forwarded get calls look identical in shape.
-  json::replace_string_field(body, fields::kTempKey, "");
-  return GetRequest{std::move(body), std::move(k_u.value())};
+  json::replace_string_field(*slot.body, fields::kTempKey, "");
+  slot.k_u = std::move(k_u.value());
+  return Status::ok_status();
 }
 
 void IaLogic::transform_batch(std::span<IaRequestSlot> slots,
                               BatchArena& /*arena*/) {
-  // Posts and gets are JSON rewrites around a single RSA decrypt each —
+  // Posts and gets are JSON rewrites around one or two RSA unwraps each —
   // there is no shared keystream to vectorize, so the batch win here is
-  // purely the amortized transition: S transforms under ONE ecall. The
-  // per-slot transforms reuse the sequential entry points so the results
-  // (and error strings) are identical by construction.
+  // purely the amortized transition: S transforms under ONE ecall.
   for (IaRequestSlot& slot : slots) {
     // PPROX-CT-OK(branch): request kind is the HTTP method — adversary-
     // visible wire metadata, not secret plaintext.
-    if (slot.is_get) {
-      auto got = slot.logic->transform_get_request(std::move(*slot.body));
-      if (!got.ok()) {
-        slot.status = got.error();
-        continue;
-      }
-      *slot.body = std::move(got.value().body);
-      slot.k_u = std::move(got.value().k_u);
-    } else {
-      auto posted = slot.logic->transform_post_request(std::move(*slot.body),
-                                                       slot.pseudonymize_items);
-      if (!posted.ok()) {
-        slot.status = posted.error();
-        continue;
-      }
-      *slot.body = std::move(posted.value());
-    }
+    slot.status = slot.is_get ? slot.logic->transform_get_request(slot)
+                              : slot.logic->transform_post_request(slot);
   }
 }
 
 void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
                          BatchArena& arena) {
   // Phase 1 — parse every LRS body and gather its pseudonym blocks into one
-  // contiguous arena region per slot. Error strings match the sequential
-  // transform_get_response path exactly so the differential test can
-  // compare failures bit-for-bit too.
+  // contiguous arena region per slot.
   for (IaSealSlot& slot : slots) {
     const auto doc = json::parse(*slot.lrs_body);
     if (!doc.ok()) {
@@ -195,7 +163,7 @@ void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
 
   // Phase 3 — unpad, pad to the constant list length, and seal under k_u.
   // Slot order fixes the rng consumption order, and failed slots consume
-  // none — exactly what S sequential calls against the same source do.
+  // none — exactly what S one-slot batches against the same source do.
   for (IaSealSlot& slot : slots) {
     if (!slot.status.ok()) continue;
     std::vector<ItemId> plain_items;
@@ -235,58 +203,6 @@ void IaLogic::seal_batch(std::span<IaSealSlot> slots, RandomSource& rng,
     out.set(fields::kEncryptionMode, slot.authenticated ? "gcm" : "ctr");
     slot.sealed = out.dump();
   }
-}
-
-Result<ItemId> IaLogic::de_pseudonymize_item(
-    std::string_view base64_cipher) const {
-  const auto cipher = base64_decode(base64_cipher);
-  // PPROX-CT-OK(branch): base64/size framing of a stored wire-format row.
-  if (!cipher) return Error::parse("pseudonym is not valid base64");
-  if (cipher->size() != kIdBlockSize) {
-    return Error::parse("pseudonym block has wrong size");
-  }
-  const SensitiveBlock<taint::ItemDomain> block{det_.decrypt(*cipher)};
-  return unpad_sensitive_id(block);
-}
-
-Result<std::string> IaLogic::transform_get_response(const std::string& lrs_body,
-                                                    ByteView k_u,
-                                                    RandomSource& rng,
-                                                    bool authenticated) const {
-  const auto doc = json::parse(lrs_body);
-  if (!doc.ok()) return doc.error();
-  const json::JsonValue* items = doc.value().find(fields::kItems);
-  if (items == nullptr || !items->is_array()) {
-    return Error::parse("LRS response has no items list");
-  }
-  std::vector<ItemId> plain_items;
-  for (const auto& entry : items->as_array()) {
-    if (!entry.is_string()) return Error::parse("non-string item in response");
-    auto id = de_pseudonymize_item(entry.as_string());
-    if (!id.ok()) return id.error();
-    plain_items.push_back(std::move(id.value()));
-  }
-
-  auto block = encode_sensitive_response_block(
-      pad_sensitive_recommendations(std::move(plain_items)));
-  if (!block.ok()) return block.error();
-  // PPROX-DECLASSIFY: the serialized list is immediately sealed under the
-  // per-request key k_u, which only this enclave and the requesting client
-  // hold; the UA and the network observe ciphertext of constant size.
-  const Bytes& raw_block = taint::declassify_for_encryption(block.value());
-  Bytes encrypted;
-  if (authenticated) {
-    const crypto::AesGcm cipher(k_u);
-    encrypted = cipher.seal_with_random_nonce(raw_block, rng);
-  } else {
-    const crypto::RandomIvCipher cipher(k_u);
-    encrypted = cipher.encrypt(raw_block, rng);
-  }
-
-  json::JsonValue out{json::JsonObject{}};
-  out.set(fields::kPayload, base64_encode(encrypted));
-  out.set(fields::kEncryptionMode, authenticated ? "gcm" : "ctr");
-  return out.dump();
 }
 
 }  // namespace pprox

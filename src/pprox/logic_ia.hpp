@@ -57,66 +57,38 @@ class IaLogic {
  public:
   static Result<IaLogic> from_secrets(ByteView secrets_blob);
 
-  /// post: pseudonymizes the "item" field and decrypts the optional payload
-  /// for the LRS. `pseudonymize_items = false` implements the §6.3 opt-out
-  /// (item sent in the clear to the LRS).
-  /// PPROX_ECALL_BOUNDARY (here and on the other transforms): these run
-  /// inside ecalls, so per-request allocation is an enclave-boundary
-  /// violation (ROADMAP item 3); the current JSON/base64 round trips are
-  /// ratcheted in tools/hotpath_baseline.json until the batched-transition
-  /// arena lands.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_post_request(
-      std::string body, bool pseudonymize_items = true) const;
-
-  struct GetRequest {
-    std::string body;  ///< forwarded to the LRS (temporary key stripped)
-    Bytes k_u;         ///< per-request response key, kept in the EPC store
-  };
-  /// get: recovers k_u and strips it from the forwarded call.
-  PPROX_ECALL_BOUNDARY Result<GetRequest> transform_get_request(
-      std::string body) const;
-
-  /// get response: de-pseudonymizes the LRS item list, pads it to the
-  /// constant length, and re-encrypts it under k_u for the client.
-  /// `authenticated` selects AES-GCM (tamper-evident, +28 bytes) instead of
-  /// the paper's plain AES-CTR; the response self-describes its mode.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_get_response(
-      const std::string& lrs_body, ByteView k_u, RandomSource& rng,
-      bool authenticated = false) const;
-
-  /// Batched request transform: runs transform_post_request /
-  /// transform_get_request over every slot inside ONE ecall, so the
+  /// Rewrites every slot's post or get body inside ONE ecall, so the
   /// simulated transition cost is paid once per flush instead of once per
-  /// request. Per-slot failures land in slot.status; other slots complete.
+  /// request. Per-slot failures land in slot.status and leave slot.body
+  /// untouched; other slots complete.
+  /// PPROX_ECALL_BOUNDARY (here and on seal_batch): these run inside ecalls,
+  /// so per-request allocation is an enclave-boundary violation; the current
+  /// JSON/base64 round trips are ratcheted in tools/hotpath_baseline.json.
   PPROX_ECALL_BOUNDARY static void transform_batch(
       std::span<IaRequestSlot> slots, BatchArena& arena);
 
-  /// Batched form of transform_get_response: de-pseudonymizes, pads and
-  /// seals every slot's LRS item list inside ONE ecall. Pseudonym blocks
-  /// are gathered contiguously in `arena` and the zero-IV CTR keystream is
-  /// computed once per distinct tenant logic, then XORed across all of that
-  /// tenant's blocks (det decrypt, vectorized). `rng` is consumed in slot
-  /// order by successful seals only — bit-for-bit identical to S sequential
-  /// transform_get_response calls against an equally-seeded source. The
-  /// caller owns wiping `arena` after results are copied out.
+  /// De-pseudonymizes, pads and seals every slot's LRS item list inside ONE
+  /// ecall. Pseudonym blocks are gathered contiguously in `arena` and the
+  /// zero-IV CTR keystream is computed once per distinct tenant logic, then
+  /// XORed across all of that tenant's blocks (det decrypt, vectorized).
+  /// `slot.authenticated` selects AES-GCM (tamper-evident, +28 bytes)
+  /// instead of the paper's plain AES-CTR; the response self-describes its
+  /// mode. `rng` is consumed in slot order by successful seals only —
+  /// bit-for-bit identical to S one-slot batches against an equally-seeded
+  /// source. The caller owns wiping `arena` after results are copied out.
   PPROX_ECALL_BOUNDARY static void seal_batch(std::span<IaSealSlot> slots,
                                               RandomSource& rng,
                                               BatchArena& arena);
 
-  /// Decrypts one pseudonymized item id. The result is item-domain tainted:
-  /// callers must either keep it wrapped (the get-response path re-encrypts
-  /// it under k_u) or declassify explicitly (the security tests that model
-  /// an adversary holding stolen IA secrets use declassify_for_test).
-  Result<ItemId> de_pseudonymize_item(std::string_view base64_cipher) const;
-
  private:
   explicit IaLogic(LayerSecrets secrets);
-  /// Decrypts a base64 RSA field into the padded item-domain plaintext block.
-  Result<SensitiveBlock<taint::ItemDomain>> decrypt_item_block(
-      std::string_view base64_cipher) const;
-  /// Decrypts the base64 RSA field carrying the temporary key k_u. Key
-  /// material, not an identifier: it stays raw Bytes and lives in the EPC.
-  Result<Bytes> decrypt_key_field(std::string_view base64_cipher) const;
+
+  /// post: pseudonymizes the "item" field and decrypts the optional payload
+  /// for the LRS. `slot.pseudonymize_items = false` implements the §6.3
+  /// opt-out (item sent in the clear to the LRS).
+  Status transform_post_request(IaRequestSlot& slot) const;
+  /// get: recovers k_u into the slot and strips it from the forwarded call.
+  Status transform_get_request(IaRequestSlot& slot) const;
 
   LayerSecrets secrets_;
   crypto::DeterministicCipher det_;

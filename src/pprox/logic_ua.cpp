@@ -17,23 +17,9 @@ Result<UaLogic> UaLogic::from_secrets(ByteView secrets_blob) {
   return UaLogic(std::move(secrets.value()));
 }
 
-Result<std::string> UaLogic::transform_request(std::string body) const {
-  const auto user_cipher = json::get_string_field(body, fields::kUser);
-  // PPROX-CT-OK(branch): presence of the user field is public JSON framing
-  // of an adversary-visible request; the 4xx reveals the same bit.
-  if (!user_cipher) return Error::parse("request has no user field");
-  auto pseudonym =
-      pseudonymize_field<taint::UserDomain>(secrets_.sk, det_, *user_cipher);
-  if (!pseudonym.ok()) return pseudonym.error();
-  json::replace_string_field(body, fields::kUser, pseudonym.value());
-  return body;
-}
-
 void UaLogic::transform_batch(std::span<UaBatchSlot> slots,
                               BatchArena& arena) {
-  // Phase 1 — decode + RSA-unwrap every slot's identifier into arena-staged
-  // 48-byte blocks. Error strings match the sequential path exactly so the
-  // differential test can compare failures bit-for-bit too.
+  // Phase 1 — open every slot's identifier into arena-staged 48-byte blocks.
   for (UaBatchSlot& slot : slots) {
     const auto user_cipher = json::get_string_field(*slot.body, fields::kUser);
     // PPROX-CT-OK(branch): presence of the user field is public JSON framing
@@ -42,13 +28,7 @@ void UaLogic::transform_batch(std::span<UaBatchSlot> slots,
       slot.status = Error::parse("request has no user field");
       continue;
     }
-    const auto cipher = base64_decode(*user_cipher);
-    // PPROX-CT-OK(branch): base64 framing of adversary-chosen wire input.
-    if (!cipher) {
-      slot.status = Error::parse("field is not valid base64");
-      continue;
-    }
-    auto plain = crypto::rsa_decrypt_oaep(slot.logic->secrets_.sk, *cipher);
+    auto plain = open_field(slot.logic->secrets_.sk, *user_cipher);
     if (!plain.ok()) {
       slot.status = plain.error();
       continue;

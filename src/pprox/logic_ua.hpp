@@ -41,25 +41,18 @@ class UaLogic {
   /// Deserializes the provisioned secrets blob (called inside an ecall).
   static Result<UaLogic> from_secrets(ByteView secrets_blob);
 
-  /// Pseudonymizes the "user" field of a post or get body.
-  /// PPROX_ECALL_BOUNDARY: runs inside an ecall — per-request allocation
-  /// here is an enclave-boundary violation (ROADMAP item 3); today's JSON/
-  /// base64 round trips are ratcheted in tools/hotpath_baseline.json.
-  PPROX_ECALL_BOUNDARY Result<std::string> transform_request(
-      std::string body) const;
-
-  /// Batched form of transform_request: pseudonymizes every slot's "user"
-  /// field inside ONE ecall. Identifier blocks are staged in `arena` and the
-  /// zero-IV CTR keystream is computed once per distinct tenant logic, then
-  /// XORed across all of that tenant's blocks — bit-for-bit identical to S
-  /// sequential transform_request calls (the keystream is message-
-  /// independent). Per-slot failures land in slot.status; other slots still
+  /// Pseudonymizes every slot's "user" field (post or get body) inside ONE
+  /// ecall. Identifier blocks are staged in `arena` and the zero-IV CTR
+  /// keystream is computed once per distinct tenant logic, then XORed across
+  /// all of that tenant's blocks — bit-for-bit identical to S one-slot
+  /// batches (the keystream is message-independent). Per-slot failures land
+  /// in slot.status and leave slot.body untouched; other slots still
   /// complete. The caller owns wiping `arena` after results are copied out.
+  /// PPROX_ECALL_BOUNDARY: runs inside an ecall — per-request allocation
+  /// here is an enclave-boundary violation; today's JSON/base64 round trips
+  /// are ratcheted in tools/hotpath_baseline.json.
   PPROX_ECALL_BOUNDARY static void transform_batch(
       std::span<UaBatchSlot> slots, BatchArena& arena);
-
-  /// Responses traverse the UA unchanged (encrypted under k_u or opaque).
-  std::string transform_response(std::string body) const { return body; }
 
   /// Pseudonym of a cleartext user id, as the LRS will store it. The only
   /// UA entry point that accepts user plaintext — and it demands the typed

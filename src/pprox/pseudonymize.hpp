@@ -1,10 +1,13 @@
 // PPROX-LAYER: vocab
 //
-// The shared decrypt-then-pseudonymize transform both enclave layers apply
-// to their identifier field (paper §4.2). Domain-generic: the instantiating
-// translation unit names what kind of cleartext transits through it (UA:
-// UserDomain, IA: ItemDomain), and the decrypted block is wrapped the
-// instant it exists, leaving only through the pseudonymization declassifier.
+// How an enclave layer opens what the client sealed for it (paper §4.2).
+// `open_field` is the one unwrap of a client field: every identifier, payload
+// and temporary key a layer recovers goes through it, so the key-wrap scheme
+// changes in one place. `pseudonymize_field` is the decrypt-then-pseudonymize
+// transform over it. Domain-generic: the instantiating translation unit names
+// what kind of cleartext transits through it (IA: ItemDomain), and the
+// decrypted block is wrapped the instant it exists, leaving only through the
+// pseudonymization declassifier.
 #pragma once
 
 #include <string>
@@ -19,17 +22,25 @@
 
 namespace pprox {
 
-/// RSA-decrypt+unpad a base64 identifier field and return its deterministic
-/// pseudonym under `det` (base64).
-template <typename Domain>
-Result<std::string> pseudonymize_field(const crypto::RsaPrivateKey& sk,
-                                       const crypto::DeterministicCipher& det,
-                                       std::string_view base64_cipher) {
+/// Base64-decodes a client field and RSA-OAEP-unwraps it under the layer's
+/// private key. The result is raw cleartext: callers wrap it in its domain
+/// (or keep it as key material) as soon as it returns.
+inline Result<Bytes> open_field(const crypto::RsaPrivateKey& sk,
+                                std::string_view base64_cipher) {
   const auto cipher = base64_decode(base64_cipher);
   // PPROX-CT-OK(branch): base64 framing of adversary-chosen wire input;
   // rejection is observable through the error response regardless.
   if (!cipher) return Error::parse("field is not valid base64");
-  auto plain = crypto::rsa_decrypt_oaep(sk, *cipher);
+  return crypto::rsa_decrypt_oaep(sk, *cipher);
+}
+
+/// Opens a base64 identifier field and returns its deterministic pseudonym
+/// under `det` (base64).
+template <typename Domain>
+Result<std::string> pseudonymize_field(const crypto::RsaPrivateKey& sk,
+                                       const crypto::DeterministicCipher& det,
+                                       std::string_view base64_cipher) {
+  auto plain = open_field(sk, base64_cipher);
   if (!plain.ok()) return plain.error();
   if (plain.value().size() != kIdBlockSize) {
     return Error::crypto("decrypted identifier block has wrong size");

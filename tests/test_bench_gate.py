@@ -4,6 +4,7 @@ synthetic samples: no build and no timing."""
 
 import os
 import sys
+import tempfile
 import unittest
 
 sys.dont_write_bytecode = True
@@ -29,9 +30,11 @@ def scaled(runs, factor):
     return [x * factor for x in runs]
 
 
-def perfbench_runs(p50s, rps, correct=True, failed=0):
+def perfbench_runs(p50s, rps, correct=True, failed=0, invalid=(), seed=1):
     return [{"correct": correct, "attempted": 1000, "failed": failed,
-             "metrics": {"p50_ms": p, "sat_rps": r}} for p, r in zip(p50s, rps)]
+             "metrics": {"p50_ms": p, "sat_rps": r}, "seed": seed + i,
+             "log": "seed%d.log" % (seed + i), "invalid": list(invalid)}
+            for i, (p, r) in enumerate(zip(p50s, rps))]
 
 
 class Judge(unittest.TestCase):
@@ -90,9 +93,40 @@ class Workload(unittest.TestCase):
 
     def test_incorrect_run_fails(self):
         parent = perfbench_runs(TIGHT, TIGHT)
-        change = parent[:9] + perfbench_runs([100], [100], correct=False)
+        change = parent[:9] + perfbench_runs([100], [100], correct=False,
+                                             seed=10)
         _, problems = self.verdicts(parent, change)
-        self.assertEqual(problems, ["1 change run(s) with correct: false"])
+        self.assertEqual(problems, ["1 change run(s) with correct: false\n"
+                                    "      seed 10: failed 0 of 1000"
+                                    " (log: seed10.log)"])
+
+    def test_incorrect_run_says_why(self):
+        # A fired validity guard shows its line; failed answers their count.
+        late = "invalid run: load generator ran late (lag p99 > 4 x latency p50)"
+        parent = perfbench_runs(TIGHT, TIGHT)
+        change = (parent[:8] +
+                  perfbench_runs([100], [100], correct=False, invalid=[late],
+                                 seed=9) +
+                  perfbench_runs([100], [100], correct=False, failed=3,
+                                 seed=10))
+        _, problems = self.verdicts(parent, change)
+        self.assertEqual(problems[0].splitlines(), [
+            "2 change run(s) with correct: false",
+            "      seed 9: " + late + " (log: seed9.log)",
+            "      seed 10: failed 3 of 1000 (log: seed10.log)"])
+        self.assertIn("failed share", problems[1])
+
+    def test_invalid_lines_read_from_the_run_log(self):
+        with tempfile.NamedTemporaryFile("w", suffix=".log") as log:
+            log.write("window p50/p90/p99/lag_p99 ms: 1.4/2.0/3.1/9.0\n"
+                      "invalid run: load generator ran late "
+                      "(lag p99 > 4 x latency p50)\n"
+                      "invalid run: IA still holds parked k_u\n")
+            log.flush()
+            self.assertEqual(bench_gate.invalid_lines(log.name), [
+                "invalid run: load generator ran late "
+                "(lag p99 > 4 x latency p50)",
+                "invalid run: IA still holds parked k_u"])
 
     def test_larger_failed_share_fails(self):
         parent = perfbench_runs(TIGHT, TIGHT)

@@ -198,9 +198,20 @@ TEST(InPlaceEditor, DoesNotMatchKeyInsideValue) {
   EXPECT_EQ(get_string_field(doc, "user"), "bob");
 }
 
-TEST(InPlaceEditor, FindsNestedField) {
-  const std::string doc = R"({"outer":{"user":"carol"}})";
-  EXPECT_EQ(get_string_field(doc, "user"), "carol");
+TEST(InPlaceEditor, MatchesTopLevelKeysOnly) {
+  // The proxies must rewrite the field the DOM reads: a nested "user" is not
+  // the request's user, however early it appears.
+  EXPECT_FALSE(
+      get_string_field(R"({"outer":{"user":"carol"}})", "user").has_value());
+  EXPECT_FALSE(get_string_field(R"({"a":["x",{"user":"X"}]})", "user")
+                   .has_value());
+  std::string doc = R"({"a":{"user":"X"},"user":"Y"})";
+  EXPECT_EQ(get_string_field(doc, "user"), "Y");
+  const auto parsed = parse(doc);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value().find("user")->as_string(), "Y");
+  EXPECT_TRUE(replace_string_field(doc, "user", "Z"));
+  EXPECT_EQ(doc, R"({"a":{"user":"X"},"user":"Z"})");
 }
 
 TEST(InPlaceEditor, MissingFieldReturnsNullopt) {

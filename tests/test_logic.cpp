@@ -1,5 +1,7 @@
 // UA/IA enclave logic: the end-to-end message lifecycles of Figures 3 and 4,
-// checked transform by transform against the paper's protocol.
+// checked transform by transform against the paper's protocol. Each
+// transform is the layer's batch entry point run on a batch of one
+// (tests/one_slot.hpp).
 #include <gtest/gtest.h>
 
 #include "common/encoding.hpp"
@@ -8,6 +10,7 @@
 #include "json/json.hpp"
 #include "pprox/client.hpp"
 #include "pprox/logic.hpp"
+#include "one_slot.hpp"
 
 namespace pprox {
 namespace {
@@ -58,7 +61,7 @@ TEST_F(LogicTest, PostLifecycleFigure3) {
   EXPECT_EQ(body0.find("movie-7"), std::string::npos);
 
   // UA: -> post(det_enc(u,kUA), enc(i,pkIA)).
-  const auto body1 = ua_->transform_request(body0);
+  const auto body1 = one_slot::ua_request(*ua_, body0);
   ASSERT_TRUE(body1.ok());
   EXPECT_EQ(*json::get_string_field(body1.value(), "user"),
             pseudonym(keys_->ua, "alice"));
@@ -67,7 +70,7 @@ TEST_F(LogicTest, PostLifecycleFigure3) {
             *json::get_string_field(body0, "item"));
 
   // IA: -> post(det_enc(u,kUA), det_enc(i,kIA)).
-  const auto body2 = ia_->transform_post_request(body1.value());
+  const auto body2 = one_slot::ia_post(*ia_, body1.value());
   ASSERT_TRUE(body2.ok());
   EXPECT_EQ(*json::get_string_field(body2.value(), "user"),
             pseudonym(keys_->ua, "alice"));
@@ -84,8 +87,8 @@ TEST_F(LogicTest, PseudonymsAreStableAcrossRequests) {
   const auto r2 = client_->build_post_request("bob", "y");
   EXPECT_NE(*json::get_string_field(r1.value().body, "user"),
             *json::get_string_field(r2.value().body, "user"));
-  const auto t1 = ua_->transform_request(r1.value().body);
-  const auto t2 = ua_->transform_request(r2.value().body);
+  const auto t1 = one_slot::ua_request(*ua_, r1.value().body);
+  const auto t2 = one_slot::ua_request(*ua_, r2.value().body);
   EXPECT_EQ(*json::get_string_field(t1.value(), "user"),
             *json::get_string_field(t2.value(), "user"));
 }
@@ -100,7 +103,7 @@ TEST_F(LogicTest, GetLifecycleFigure4) {
   EXPECT_EQ(body0.find("carol"), std::string::npos);
 
   // UA: pseudonymize user; k field untouched.
-  const auto body1 = ua_->transform_request(body0);
+  const auto body1 = one_slot::ua_request(*ua_, body0);
   ASSERT_TRUE(body1.ok());
   EXPECT_EQ(*json::get_string_field(body1.value(), "user"),
             pseudonym(keys_->ua, "carol"));
@@ -108,7 +111,7 @@ TEST_F(LogicTest, GetLifecycleFigure4) {
             *json::get_string_field(body0, "k"));
 
   // IA: recover k_u, strip it from the LRS-bound call.
-  auto get_req = ia_->transform_get_request(body1.value());
+  auto get_req = one_slot::ia_get(*ia_, body1.value());
   ASSERT_TRUE(get_req.ok());
   EXPECT_EQ(get_req.value().k_u, k_u);
   EXPECT_EQ(*json::get_string_field(get_req.value().body, "k"), "");
@@ -123,15 +126,12 @@ TEST_F(LogicTest, GetLifecycleFigure4) {
   lrs_body.set("items", std::move(items));
 
   // IA response: de-pseudonymize, pad, encrypt under k_u.
-  const auto response =
-      ia_->transform_get_response(lrs_body.dump(), k_u, *rng_);
+  const auto response = one_slot::ia_seal(*ia_, lrs_body.dump(), k_u, *rng_);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().find("movie-1"), std::string::npos);  // hidden
 
-  // UA response: pass-through.
-  EXPECT_EQ(ua_->transform_response(response.value()), response.value());
-
-  // Client decrypts and strips padding.
+  // The UA forwards the response untouched; the client decrypts it and
+  // strips the padding.
   http::HttpResponse http_resp =
       http::HttpResponse::json_response(200, response.value());
   const auto decoded = ClientLibrary::decode_get_response(http_resp, k_u);
@@ -154,8 +154,8 @@ TEST_F(LogicTest, GetResponsesAreConstantSize) {
   }
   many.set("items", std::move(items2));
 
-  const auto r1 = ia_->transform_get_response(one.dump(), k_u, *rng_);
-  const auto r2 = ia_->transform_get_response(many.dump(), k_u, *rng_);
+  const auto r1 = one_slot::ia_seal(*ia_, one.dump(), k_u, *rng_);
+  const auto r2 = one_slot::ia_seal(*ia_, many.dump(), k_u, *rng_);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1.value().size(), r2.value().size());
@@ -164,8 +164,8 @@ TEST_F(LogicTest, GetResponsesAreConstantSize) {
 TEST_F(LogicTest, ItemPseudonymizationOptOut) {
   // §6.3: disabled pseudonymization forwards the item in the clear.
   const auto request = client_->build_post_request("erin", "movie-9");
-  const auto body1 = ua_->transform_request(request.value().body);
-  const auto body2 = ia_->transform_post_request(body1.value(), false);
+  const auto body1 = one_slot::ua_request(*ua_, request.value().body);
+  const auto body2 = one_slot::ia_post(*ia_, body1.value(), false);
   ASSERT_TRUE(body2.ok());
   EXPECT_EQ(*json::get_string_field(body2.value(), "item"), "movie-9");
   // The user remains pseudonymized either way.
@@ -180,18 +180,19 @@ TEST_F(LogicTest, WrongLayerKeysCannotDecrypt) {
   const UaLogic other_ua =
       UaLogic::from_secrets(other.ua.serialize()).value();
   const auto request = client_->build_post_request("frank", "m");
-  EXPECT_FALSE(other_ua.transform_request(request.value().body).ok());
+  EXPECT_FALSE(one_slot::ua_request(other_ua, request.value().body).ok());
 }
 
 TEST_F(LogicTest, MalformedBodiesRejected) {
-  EXPECT_FALSE(ua_->transform_request("{}").ok());
-  EXPECT_FALSE(ua_->transform_request(R"({"user":"not-base64!!!"})").ok());
-  EXPECT_FALSE(ia_->transform_post_request("{}").ok());
-  EXPECT_FALSE(ia_->transform_get_request(R"({"user":"x"})").ok());
+  EXPECT_FALSE(one_slot::ua_request(*ua_, "{}").ok());
   EXPECT_FALSE(
-      ia_->transform_get_response("not json", Bytes(32, 1), *rng_).ok());
+      one_slot::ua_request(*ua_, R"({"user":"not-base64!!!"})").ok());
+  EXPECT_FALSE(one_slot::ia_post(*ia_, "{}").ok());
+  EXPECT_FALSE(one_slot::ia_get(*ia_, R"({"user":"x"})").ok());
   EXPECT_FALSE(
-      ia_->transform_get_response(R"({"items":"nope"})", Bytes(32, 1), *rng_)
+      one_slot::ia_seal(*ia_, "not json", Bytes(32, 1), *rng_).ok());
+  EXPECT_FALSE(
+      one_slot::ia_seal(*ia_, R"({"items":"nope"})", Bytes(32, 1), *rng_)
           .ok());
 }
 
@@ -202,7 +203,26 @@ TEST_F(LogicTest, TamperedCiphertextRejected) {
   const auto span = json::find_string_field(body, "user");
   ASSERT_TRUE(span.has_value());
   body[span->first + 10] = body[span->first + 10] == 'A' ? 'B' : 'A';
-  EXPECT_FALSE(ua_->transform_request(body).ok());
+  EXPECT_FALSE(one_slot::ua_request(*ua_, body).ok());
+}
+
+TEST_F(LogicTest, NestedUserFieldIsNotTheOnePseudonymized) {
+  // The UA must rewrite the "user" the LRS's DOM reads: the top-level one,
+  // even when a nested object carries a "user" key earlier in the body.
+  const auto request = client_->build_post_request("hana", "m");
+  ASSERT_TRUE(request.ok());
+  const std::string user_cipher =
+      *json::get_string_field(request.value().body, "user");
+  std::string body =
+      R"({"a":{"user":"not-a-ciphertext"},"user":")" + user_cipher + "\"}";
+  const auto rewritten = one_slot::ua_request(*ua_, body);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error().message;
+  const auto doc = json::parse(rewritten.value());
+  ASSERT_TRUE(doc.ok());
+  EXPECT_EQ(doc.value().find("user")->as_string(), pseudonym(keys_->ua, "hana"));
+  // The nested decoy crosses untouched: it is not the request's user.
+  EXPECT_EQ(doc.value().find("a")->find("user")->as_string(),
+            "not-a-ciphertext");
 }
 
 TEST_F(LogicTest, FromSecretsRejectsGarbage) {
@@ -210,14 +230,27 @@ TEST_F(LogicTest, FromSecretsRejectsGarbage) {
   EXPECT_FALSE(IaLogic::from_secrets(Bytes{}).ok());
 }
 
-TEST_F(LogicTest, DePseudonymizeItemInverse) {
-  const std::string p = pseudonym(keys_->ia, "movie-42");
-  const auto back = ia_->de_pseudonymize_item(p);
-  ASSERT_TRUE(back.ok());
-  // The result is ItemDomain-tainted; only the test escape hatch reads it.
-  EXPECT_EQ(taint::declassify_for_test(back.value()), "movie-42");
-  EXPECT_FALSE(ia_->de_pseudonymize_item("@@@").ok());
-  EXPECT_FALSE(ia_->de_pseudonymize_item("c2hvcnQ=").ok());  // wrong size
+TEST_F(LogicTest, SealDePseudonymizesStoredItems) {
+  // The seal inverts the IA's item pseudonym: the client reads back the id.
+  const Bytes k_u(32, 9);
+  const std::string listed =
+      R"({"items":[")" + pseudonym(keys_->ia, "movie-42") + "\"]}";
+  const auto sealed = one_slot::ia_seal(*ia_, listed, k_u, *rng_);
+  ASSERT_TRUE(sealed.ok());
+  const auto decoded = ClientLibrary::decode_get_response(
+      http::HttpResponse::json_response(200, sealed.value()), k_u);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value(), (std::vector<std::string>{"movie-42"}));
+  // A stored row that is not base64, or not one identifier block, is
+  // rejected rather than sealed.
+  const auto not_base64 =
+      one_slot::ia_seal(*ia_, R"({"items":["@@@"]})", k_u, *rng_);
+  ASSERT_FALSE(not_base64.ok());
+  EXPECT_EQ(not_base64.error().message, "pseudonym is not valid base64");
+  const auto wrong_size =
+      one_slot::ia_seal(*ia_, R"({"items":["c2hvcnQ="]})", k_u, *rng_);
+  ASSERT_FALSE(wrong_size.ok());
+  EXPECT_EQ(wrong_size.error().message, "pseudonym block has wrong size");
 }
 
 TEST_F(LogicTest, TypedUaPseudonymMatchesWireTransform) {

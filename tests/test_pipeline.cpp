@@ -14,6 +14,7 @@
 #include "lrs/harness.hpp"
 #include "net/tcp.hpp"
 #include "pprox/deployment.hpp"
+#include "one_slot.hpp"
 
 namespace pprox {
 namespace {
@@ -204,8 +205,8 @@ TEST(PipelineGcm, TamperedAuthenticatedResponseRejected) {
   items.emplace_back(
       base64_encode(det.encrypt(pad_identifier("movie-1").value())));
   lrs_body.set("items", std::move(items));
-  auto response = ia.transform_get_response(lrs_body.dump(), k_u, rng,
-                                            /*authenticated=*/true);
+  auto response = one_slot::ia_seal(ia, lrs_body.dump(), k_u, rng,
+                                    /*authenticated=*/true);
   ASSERT_TRUE(response.ok());
 
   // Intact response decodes...
@@ -222,8 +223,8 @@ TEST(PipelineGcm, TamperedAuthenticatedResponseRejected) {
   EXPECT_FALSE(ClientLibrary::decode_get_response(bad_resp, k_u).ok());
 
   // Contrast: plain CTR (the paper's mode) silently garbles instead.
-  auto ctr_response = ia.transform_get_response(lrs_body.dump(), k_u, rng,
-                                                /*authenticated=*/false);
+  auto ctr_response = one_slot::ia_seal(ia, lrs_body.dump(), k_u, rng,
+                                        /*authenticated=*/false);
   ASSERT_TRUE(ctr_response.ok());
   std::string ctr_tampered = ctr_response.value();
   const auto ctr_span = json::find_string_field(ctr_tampered, "payload");

@@ -18,6 +18,7 @@
 #include "lrs/harness.hpp"
 #include "pprox/client.hpp"
 #include "pprox/logic.hpp"
+#include "one_slot.hpp"
 
 namespace pprox {
 namespace {
@@ -186,9 +187,9 @@ TEST_F(TaintPipelineTest, WireTransformsUnchangedByTyping) {
   // the manual composition of the untyped primitives.
   const auto request = client_.build_post_request("alice", "movie-7");
   ASSERT_TRUE(request.ok());
-  const auto after_ua = ua_.transform_request(request.value().body);
+  const auto after_ua = one_slot::ua_request(ua_, request.value().body);
   ASSERT_TRUE(after_ua.ok());
-  const auto after_ia = ia_.transform_post_request(after_ua.value());
+  const auto after_ia = one_slot::ia_post(ia_, after_ua.value());
   ASSERT_TRUE(after_ia.ok());
   EXPECT_EQ(*json::get_string_field(after_ia.value(), fields::kUser),
             manual_pseudonym(keys_.ua, "alice"));
@@ -235,9 +236,9 @@ TEST_F(TaintPipelineTest, AdversaryWithoutSecretsStillLinksNothing) {
     intercept.item_field =
         *json::get_string_field(request.value().body, fields::kItem);
     intercepts.push_back(intercept);
-    const auto after_ua = ua_.transform_request(request.value().body);
+    const auto after_ua = one_slot::ua_request(ua_, request.value().body);
     ASSERT_TRUE(after_ua.ok());
-    const auto after_ia = ia_.transform_post_request(after_ua.value());
+    const auto after_ia = one_slot::ia_post(ia_, after_ua.value());
     ASSERT_TRUE(after_ia.ok());
     database.push_back(
         {*json::get_string_field(after_ia.value(), fields::kUser),

@@ -221,7 +221,8 @@ bool write_keyed_baseline(const std::string& path, const std::string& anchor,
 
 /// Shared tail of a pass's run(): sort, print (plain or --json), apply the
 /// --baseline ratchet or --baseline-write regeneration, return the exit
-/// code (0 clean/within-baseline, 1 findings/regressions, 2 IO errors).
+/// code (0 clean/within-baseline, 1 findings/regressions/stale baseline
+/// entries, 2 IO errors).
 int report(const PassSpec& spec, const Options& opts,
            std::vector<Finding>& findings, std::size_t files);
 

@@ -48,10 +48,11 @@
 // Every rule family below reports through lint_callgraph's one path:
 // "file:line: [rule] message" diagnostics on stderr, or a JSON report on
 // stdout with --json. Each finding carries a line-free key
-// (rule|file|symbol for the crypto/flow rules); --baseline FILE fails only
-// on keys the checked-in baseline does not list (tools/lint_baseline.json
+// (rule|file|symbol for the crypto/flow rules); --baseline FILE fails on
+// keys the checked-in baseline does not list (tools/lint_baseline.json
 // here), so CI can gate on "no new findings" while a cleanup is in flight,
-// and --baseline-write FILE regenerates it.
+// and on listed keys that no longer fire, so the baseline only shrinks;
+// --baseline-write FILE regenerates it.
 //
 // Hot-path rules (--hotpath) run the call-graph discipline pass of
 // tools/pprox_lint_hotpath.cpp (DESIGN.md §11): PPROX_HOT /
@@ -71,8 +72,8 @@
 // array subscripts, or variable-latency operations. Its key-based baseline
 // is tools/ct_baseline.json; the dynamic cross-check is tools/pprox_ct_bench.
 //
-// Exit status: 0 clean (or within baseline), 1 findings/regressions,
-// 2 usage/IO error.
+// Exit status: 0 clean (or within baseline), 1 findings/regressions or a
+// stale baseline entry, 2 usage/IO error.
 #include "lint_passes.hpp"
 
 #include <algorithm>
@@ -981,8 +982,8 @@ int main(int argc, char** argv) {
              "          // PPROX-CT-OK(<aspect>): <why>       (ct)\n"
              "          // PPROX-LIFETIME-OK(<aspect>): <why> (lifetime)\n"
              "--json prints the findings with their line-free keys\n"
-             "--baseline compares finding keys against FILE and fails only "
-             "on keys it does not list\n"
+             "--baseline compares finding keys against FILE and fails on "
+             "keys it does not list and on listed keys that no longer fire\n"
              "--baseline-write regenerates FILE from the current findings "
              "and exits 0\n"
              "--list-rules prints the rule table and exits\n";

@@ -40,8 +40,8 @@
 //
 // Baseline ratchet: --baseline FILE compares finding *keys*
 // (rule|root|leaf|token — line-number free, so they survive unrelated
-// edits) against tools/hotpath_baseline.json; only new keys fail, stale
-// keys are reported so the baseline can shrink. --baseline-write FILE
+// edits) against tools/hotpath_baseline.json; new keys fail, and so do
+// stale keys, so the baseline shrinks as fixes land. --baseline-write FILE
 // regenerates the file, carrying over existing "why" justifications.
 #include "lint_passes.hpp"
 
