@@ -21,8 +21,9 @@
 #   scripts/check.sh           # full gate (several minutes)
 #   scripts/check.sh --quick   # lint + compile-fail + fixtures + ASan smoke
 #   scripts/check.sh --model   # pprox_check interleaving exploration only:
-#                              # normal build (models must pass) + selftest
-#                              # build on pre-fix variants (models must fail)
+#                              # whole model-check tree and its full ctest
+#                              # (models must pass) + selftest build on
+#                              # pre-fix variants (models must fail)
 #                              # and the planted timing leak (ct_bench_selftest
 #                              # must fail)
 #   scripts/check.sh --bench [BASE]
@@ -188,8 +189,11 @@ fi
 if [[ "$MODE" == "--model" ]]; then
   # Deterministic interleaving exploration (DESIGN.md §9). Two builds:
   #
-  #   build-model           sync.hpp routes through the det scheduler; the
-  #                         four pprox_check models (shuffle, pool, rotation,
+  #   build-model           sync.hpp routes through the det scheduler. The
+  #                         whole tree builds and its full ctest runs: the
+  #                         tier-1 tests exercise the model flavour of every
+  #                         primitive on unmanaged threads, and the four
+  #                         pprox_check models (shuffle, pool, rotation,
   #                         lockorder) run bounded-exhaustive DFS and
   #                         fixed-seed PCT and must all PASS.
   #   build-model-selftest  -DPPROX_CHECK_SELFTEST runs every model on its
@@ -201,12 +205,11 @@ if [[ "$MODE" == "--model" ]]; then
   #                         builds pprox_ct_bench on its planted early-exit
   #                         compare; ct_bench_selftest is WILL_FAIL too, so
   #                         the dudect statistics must still see the leak.
-  step "model: exhaustive + PCT exploration (bugs must be absent)"
+  step "model: full suite + exhaustive + PCT exploration (bugs must be absent)"
   cmake -B "$ROOT/build-model" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$ROOT/build-model" -j "$JOBS" --target pprox_check
-  ctest --test-dir "$ROOT/build-model" -R '^model_' \
-        --output-on-failure -j "$JOBS"
+  cmake --build "$ROOT/build-model" -j "$JOBS"
+  ctest --test-dir "$ROOT/build-model" --output-on-failure -j "$JOBS"
 
   step "model + ct_bench selftest (planted bugs must be FOUND)"
   cmake -B "$ROOT/build-model-selftest" -S "$ROOT" -DPPROX_MODEL_CHECK=ON \

@@ -1,16 +1,21 @@
-// PProx sync-abstraction layer: pprox::Mutex, pprox::CondVar, pprox::Atomic,
-// pprox::DetThread, pprox::SteadyClock. All concurrency primitives in src/
-// go through these types (enforced by the pprox_lint `raw-sync` rule).
+// PProx sync-abstraction layer: pprox::Mutex, pprox::SharedMutex,
+// pprox::CondVar, pprox::Atomic, pprox::DetThread, pprox::SteadyClock. All
+// concurrency primitives in src/ go through these types (enforced by the
+// pprox_lint `raw-sync` rule).
 //
-// Two build flavours:
+// Every member has one body: the std operation, plus a schedule point inside
+// `if constexpr (det::kModelCheck)`.
 //
-//  * Normal builds: every type is a thin zero-overhead passthrough to the
-//    corresponding <mutex>/<condition_variable>/<atomic>/<thread> primitive.
-//    No virtual calls, no extra state, no source-location plumbing.
+//  * Normal builds discard those branches, so every type is a zero-overhead
+//    passthrough to the corresponding <mutex>/<shared_mutex>/
+//    <condition_variable>/<atomic>/<thread> primitive, of the same size
+//    (tests/test_sync.cpp pins it). No scheduler hook is odr-used, and no
+//    scheduler is linked.
 //
 //  * -DPPROX_MODEL_CHECK builds: every acquire/release/wait/notify/atomic op
-//    first reports to the pprox::det cooperative scheduler (implemented in
-//    sync.cpp), which serialises all managed threads and explores thread
+//    first reports to the pprox::det cooperative scheduler through the hooks
+//    declared below. tools/det_explorer.cpp defines them and is built only in
+//    those trees. It serialises all managed threads and explores thread
 //    interleavings — bounded exhaustive DFS with sleep-set pruning and a
 //    preemption bound, or PCT-style randomised priorities. Threads that are
 //    not under exploration (det::managed() == false) fall through to the real
@@ -24,7 +29,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -33,7 +37,7 @@
 #include <functional>
 #include <mutex>
 #include <shared_mutex>
-#include <string>
+#include <source_location>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -55,19 +59,39 @@
     }                                                                    \
   } while (0)
 
-#ifdef PPROX_MODEL_CHECK
-#include <source_location>
-#endif
-
 namespace pprox {
 
 class CondVar;
 class Mutex;
 class UniqueLock;
 
-#ifdef PPROX_MODEL_CHECK
-
 namespace det {
+
+// The per-object scheduler records live inside the primitives, so no global
+// registry lookup is needed. Only model-check builds give them fields; in
+// normal builds they are empty and [[no_unique_address]], so each primitive
+// is exactly the size of the std type it wraps.
+#ifdef PPROX_MODEL_CHECK
+inline constexpr bool kModelCheck = true;
+// Mutex/CondVar/Atomic identity. The scheduler assigns `id` on first use
+// within an exploration and resets it between executions for stable
+// numbering.
+struct ObjRecord {
+  std::uint64_t id = 0;
+  int owner = -1;            // mutex: managed thread id currently holding it
+  std::uint64_t tokens = 0;  // condvar: pending notify wake permits
+  std::uint64_t epoch = 0;   // execution that last touched this record
+};
+// DetThread identity: its managed-thread id, or -1 when it was started by an
+// unmanaged thread.
+struct ThreadRecord {
+  int id = -1;
+};
+#else
+inline constexpr bool kModelCheck = false;
+struct ObjRecord {};
+struct ThreadRecord {};
+#endif
 
 // One schedule-relevant operation kind. Used for trace printing and for the
 // independence relation behind sleep-set pruning.
@@ -85,11 +109,8 @@ enum class OpKind : std::uint8_t {
   kThreadStart,  // first scheduling of a new thread
   kThreadJoin,
   kThreadExit,
-  kYield,
   kTimeAdvance,
 };
-
-const char* op_name(OpKind kind);
 
 // Trimmed std::source_location: the full object is not trivially copyable
 // across the scheduler boundary and we only print file:line.
@@ -102,18 +123,8 @@ inline SourceLoc loc_of(const std::source_location& loc) {
   return SourceLoc{loc.file_name(), loc.line()};
 }
 
-// Per-object identity shared between the primitive and the scheduler. Lives
-// inside Mutex/CondVar/Atomic so no global registry lookup is needed on the
-// hot path; the scheduler assigns `id` on first use within an exploration
-// and resets it between executions for stable numbering.
-struct ObjRecord {
-  std::uint64_t id = 0;
-  int owner = -1;            // mutex: managed thread id currently holding it
-  std::uint64_t tokens = 0;  // condvar: pending notify wake permits
-  std::uint64_t epoch = 0;   // execution that last touched this record
-};
-
-// --- Managed-thread API (called from the primitives below). ------------
+// --- Schedule-point hooks. The primitives below call them only inside
+// `if constexpr (kModelCheck)`; tools/det_explorer.cpp defines them. -----
 
 // True iff the calling thread is under the deterministic scheduler. All
 // primitives branch on this so unmanaged threads in a model-check build
@@ -128,73 +139,18 @@ bool cv_wait(ObjRecord* cv, ObjRecord* mu, bool timed, std::uint64_t deadline_ms
              SourceLoc loc);
 void cv_notify(ObjRecord* cv, bool all, SourceLoc loc);
 void atomic_op(const ObjRecord* obj, OpKind kind, SourceLoc loc);
-int thread_create(const char* name, SourceLoc loc);
-void thread_start(int self_id);
-void thread_exit(int self_id);
-void thread_join(int child_id, SourceLoc loc);
-void yield(SourceLoc loc = loc_of(std::source_location::current()));
-
-// Virtual clock (milliseconds). Starts at kVirtualEpochMs each execution.
-inline constexpr std::uint64_t kVirtualEpochMs = 1'000'000;
+// Registers a new managed thread and stores its id in `*thread`.
+void thread_create(ThreadRecord* thread, const char* name, SourceLoc loc);
+void thread_start(ThreadRecord thread);
+void thread_exit(ThreadRecord thread);
+void thread_join(ThreadRecord thread, SourceLoc loc);
+// Virtual clock (milliseconds).
 std::uint64_t now_ms() noexcept;
-// Explicit logical-time step for models (a schedule point like any other).
-void advance_time(std::uint64_t delta_ms,
-                  SourceLoc loc = loc_of(std::source_location::current()));
-
-// Model-facing invariant check: prints the numbered interleaving trace with
-// a replayable schedule and exits non-zero. Callable from any managed
-// thread.
-[[noreturn]] void model_fail(const std::string& message);
-inline void model_check(bool ok, const char* message) {
-  if (!ok) model_fail(message);
-}
-
-// --- Explorer API (called from tools/pprox_check). ----------------------
-
-struct Options {
-  enum class Mode { kDfs, kPct };
-  Mode mode = Mode::kDfs;
-  // DFS: max context switches away from a still-enabled thread per execution.
-  int preemption_bound = 2;
-  bool sleep_sets = true;
-  // Safety caps: an execution longer than max_steps is truncated (counted,
-  // reported, treated as a leaf); exploration stops after max_execs
-  // executions (0 = unbounded).
-  std::uint64_t max_steps = 20000;
-  std::uint64_t max_execs = 0;
-  // PCT: `pct_iters` random-priority executions with `pct_depth - 1`
-  // priority-change points, seeded from `seed`.
-  std::uint64_t seed = 1;
-  int pct_iters = 500;
-  int pct_depth = 3;
-  // Replay: follow this exact schedule (chosen managed-thread id per step),
-  // then fall back to the default policy once exhausted.
-  std::vector<int> replay;
-  bool verbose = false;
-  const char* model_name = "model";
-};
-
-struct Report {
-  std::uint64_t executions = 0;
-  std::uint64_t total_steps = 0;
-  std::uint64_t truncated = 0;  // executions cut off at max_steps
-  bool exhaustive = false;      // DFS ran the whole bounded tree
-};
-
-// Runs `body` (as managed thread 0) under every explored schedule. On an
-// invariant violation or deadlock this does not return: the trace is printed
-// and the process exits 1. Not reentrant.
-Report explore(const Options& options, const std::function<void()>& body);
 
 }  // namespace det
 
-// ---------------------------------------------------------------------------
-// Model-check flavour: primitives report to the scheduler, then perform the
-// real operation (uncontended, because the scheduler admits one managed
-// thread at a time).
-// ---------------------------------------------------------------------------
-
-#define PPROX_SYNC_LOC                      \
+// Every schedule point records its caller's file:line for the trace.
+#define PPROX_SYNC_LOC \
   const std::source_location& sloc = std::source_location::current()
 
 class PPROX_CAPABILITY("mutex") Mutex {
@@ -207,46 +163,24 @@ class PPROX_CAPABILITY("mutex") Mutex {
   Mutex& operator=(Mutex&&) = delete;
 
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
-    if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
+    }
     real_.lock();
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
     real_.unlock();
-    if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
+    }
   }
 
  private:
   friend class CondVar;
   friend class UniqueLock;
   std::mutex real_;
-  det::ObjRecord rec_;
+  [[no_unique_address]] det::ObjRecord rec_;
 };
-
-#else  // !PPROX_MODEL_CHECK
-
-// ---------------------------------------------------------------------------
-// Normal flavour: zero-overhead passthroughs.
-// ---------------------------------------------------------------------------
-
-class PPROX_CAPABILITY("mutex") Mutex {
- public:
-  Mutex() = default;
-  ~Mutex() = default;
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-  Mutex(Mutex&&) = delete;
-  Mutex& operator=(Mutex&&) = delete;
-
-  void lock() PPROX_ACQUIRE() { real_.lock(); }
-  void unlock() PPROX_RELEASE() { real_.unlock(); }
-
- private:
-  friend class CondVar;
-  friend class UniqueLock;
-  std::mutex real_;
-};
-
-#endif  // PPROX_MODEL_CHECK
 
 // Reader/writer mutex. In normal builds a std::shared_mutex passthrough;
 // under exploration shared acquisitions degrade to exclusive ones — a sound
@@ -261,43 +195,42 @@ class PPROX_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex(SharedMutex&&) = delete;
   SharedMutex& operator=(SharedMutex&&) = delete;
 
-#ifdef PPROX_MODEL_CHECK
   void lock(PPROX_SYNC_LOC) PPROX_ACQUIRE() {
-    if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::mutex_lock(&rec_, det::loc_of(sloc));
+    }
     real_.lock();
   }
   void unlock(PPROX_SYNC_LOC) PPROX_RELEASE() {
     real_.unlock();
-    if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::mutex_unlock(&rec_, det::loc_of(sloc));
+    }
   }
   void lock_shared(PPROX_SYNC_LOC) PPROX_ACQUIRE_SHARED() {
-    if (det::managed()) {
-      det::mutex_lock(&rec_, det::loc_of(sloc));
-      real_.lock();  // exclusive under exploration (see class comment)
-      return;
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        det::mutex_lock(&rec_, det::loc_of(sloc));
+        real_.lock();  // exclusive under exploration (see class comment)
+        return;
+      }
     }
     real_.lock_shared();
   }
   void unlock_shared(PPROX_SYNC_LOC) PPROX_RELEASE_SHARED() {
-    if (det::managed()) {
-      real_.unlock();
-      det::mutex_unlock(&rec_, det::loc_of(sloc));
-      return;
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        real_.unlock();
+        det::mutex_unlock(&rec_, det::loc_of(sloc));
+        return;
+      }
     }
     real_.unlock_shared();
   }
-#else
-  void lock() PPROX_ACQUIRE() { real_.lock(); }
-  void unlock() PPROX_RELEASE() { real_.unlock(); }
-  void lock_shared() PPROX_ACQUIRE_SHARED() { real_.lock_shared(); }
-  void unlock_shared() PPROX_RELEASE_SHARED() { real_.unlock_shared(); }
-#endif
 
  private:
   std::shared_mutex real_;
-#ifdef PPROX_MODEL_CHECK
-  det::ObjRecord rec_;
-#endif
+  [[no_unique_address]] det::ObjRecord rec_;
 };
 
 // RAII lock for a whole scope. Equivalent of std::lock_guard.
@@ -398,6 +331,27 @@ class ScopedUnlock {
   UniqueLock& lock_;
 };
 
+// Virtualisable monotonic clock. In normal builds this is exactly
+// std::chrono::steady_clock; under exploration now() reads the scheduler's
+// logical clock so timeouts become schedule choices instead of wall waits.
+struct SteadyClock {
+  using duration = std::chrono::steady_clock::duration;
+  using rep = duration::rep;
+  using period = duration::period;
+  using time_point = std::chrono::steady_clock::time_point;
+  static constexpr bool is_steady = true;
+
+  static time_point now() {
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        return time_point(std::chrono::duration_cast<duration>(
+            std::chrono::milliseconds(det::now_ms())));
+      }
+    }
+    return std::chrono::steady_clock::now();
+  }
+};
+
 // Condition variable working with UniqueLock over pprox::Mutex.
 class CondVar {
  public:
@@ -406,27 +360,31 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-#ifdef PPROX_MODEL_CHECK
-
-  void notify_one(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — det::park wakes a std cv field that name-resolves to this wrapper; real notify never re-enters
-    if (det::managed()) {
-      det::cv_notify(&rec_, /*all=*/false, det::loc_of(sloc));
-      return;
+  void notify_one(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — real_.notify_one() on the std cv field name-resolves to this wrapper; the real notify never re-enters
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        det::cv_notify(&rec_, /*all=*/false, det::loc_of(sloc));
+        return;
+      }
     }
     real_.notify_one();
   }
-  void notify_all(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — det::park wakes a std cv field that name-resolves to this wrapper; real notify never re-enters
-    if (det::managed()) {
-      det::cv_notify(&rec_, /*all=*/true, det::loc_of(sloc));
-      return;
+  void notify_all(PPROX_SYNC_LOC) {  // PPROX-HOTPATH-OK(recursion): ghost cycle — real_.notify_all() on the std cv field name-resolves to this wrapper; the real notify never re-enters
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        det::cv_notify(&rec_, /*all=*/true, det::loc_of(sloc));
+        return;
+      }
     }
     real_.notify_all();
   }
 
   void wait(UniqueLock& lock, PPROX_SYNC_LOC) {
-    if (det::managed()) {
-      wait_managed(lock, /*timed=*/false, 0, det::loc_of(sloc));
-      return;
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        wait_managed(lock, /*timed=*/false, 0, sloc);
+        return;
+      }
     }
     real_.wait(lock);
   }
@@ -439,14 +397,16 @@ class CondVar {
   std::cv_status wait_until(UniqueLock& lock,
                             std::chrono::steady_clock::time_point deadline,
                             PPROX_SYNC_LOC) {
-    if (det::managed()) {
-      const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline.time_since_epoch())
-                          .count();
-      const std::uint64_t deadline_ms = ms < 0 ? 0 : static_cast<std::uint64_t>(ms);
-      return wait_managed(lock, /*timed=*/true, deadline_ms, det::loc_of(sloc))
-                 ? std::cv_status::no_timeout
-                 : std::cv_status::timeout;
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline.time_since_epoch())
+                            .count();
+        const std::uint64_t deadline_ms = ms < 0 ? 0 : static_cast<std::uint64_t>(ms);
+        return wait_managed(lock, /*timed=*/true, deadline_ms, sloc)
+                   ? std::cv_status::no_timeout
+                   : std::cv_status::timeout;
+      }
     }
     return real_.wait_until(lock, deadline);
   }
@@ -463,104 +423,45 @@ class CondVar {
     return true;
   }
 
-#else  // !PPROX_MODEL_CHECK
-
-  void notify_one() { real_.notify_one(); }
-  void notify_all() { real_.notify_all(); }
-
-  void wait(UniqueLock& lock) { real_.wait(lock); }
-
-  template <typename Predicate>
-  void wait(UniqueLock& lock, Predicate pred) {
-    while (!pred()) wait(lock);
-  }
-
-  std::cv_status wait_until(UniqueLock& lock,
-                            std::chrono::steady_clock::time_point deadline) {
-    return real_.wait_until(lock, deadline);
-  }
-
-  template <typename Predicate>
-  bool wait_until(UniqueLock& lock,
-                  std::chrono::steady_clock::time_point deadline,
-                  Predicate pred) {
-    while (!pred()) {
-      if (wait_until(lock, deadline) == std::cv_status::timeout) return pred();
-    }
-    return true;
-  }
-
-#endif  // PPROX_MODEL_CHECK
-
   template <typename Rep, typename Period>
   std::cv_status wait_for(UniqueLock& lock,
                           std::chrono::duration<Rep, Period> duration) {
-    return wait_until(lock, SteadyNow() + std::chrono::duration_cast<
-                                              std::chrono::steady_clock::duration>(
-                                              duration));
+    return wait_until(lock, SteadyClock::now() +
+                                std::chrono::duration_cast<
+                                    std::chrono::steady_clock::duration>(duration));
   }
 
   template <typename Rep, typename Period, typename Predicate>
   bool wait_for(UniqueLock& lock, std::chrono::duration<Rep, Period> duration,
                 Predicate pred) {
     return wait_until(lock,
-                      SteadyNow() + std::chrono::duration_cast<
-                                        std::chrono::steady_clock::duration>(
-                                        duration),
+                      SteadyClock::now() +
+                          std::chrono::duration_cast<
+                              std::chrono::steady_clock::duration>(duration),
                       std::move(pred));
   }
 
  private:
-  static std::chrono::steady_clock::time_point SteadyNow();
-
-#ifdef PPROX_MODEL_CHECK
-  // Returns true if woken by a notify, false on timeout. Drops the logical
-  // and real mutex, parks in the scheduler, reacquires on wake.
+  // Managed threads only (reached from the model-check branches above):
+  // drops the real mutex, parks in the scheduler, reacquires on wake.
+  // Returns true if woken by a notify, false on timeout.
   bool wait_managed(UniqueLock& lock, bool timed, std::uint64_t deadline_ms,
-                    det::SourceLoc loc) {
+                    const std::source_location& sloc) {
     Mutex* mu = lock.mutex();
     mu->real_.unlock();
-    const bool notified = det::cv_wait(&rec_, &mu->rec_, timed, deadline_ms, loc);
+    const bool notified =
+        det::cv_wait(&rec_, &mu->rec_, timed, deadline_ms, det::loc_of(sloc));
     mu->real_.lock();
     return notified;
   }
-  // condition_variable_any: works with UniqueLock as a BasicLockable, used
-  // only on unmanaged threads in model-check builds.
+
+  // condition_variable_any: works with UniqueLock as a BasicLockable.
   std::condition_variable_any real_;
-  det::ObjRecord rec_;
-#else
-  friend class Mutex;
-  std::condition_variable_any real_;
-#endif
+  [[no_unique_address]] det::ObjRecord rec_;
 };
-
-// Virtualisable monotonic clock. In normal builds this is exactly
-// std::chrono::steady_clock; under exploration now() reads the scheduler's
-// logical clock so timeouts become schedule choices instead of wall waits.
-struct SteadyClock {
-  using duration = std::chrono::steady_clock::duration;
-  using rep = duration::rep;
-  using period = duration::period;
-  using time_point = std::chrono::steady_clock::time_point;
-  static constexpr bool is_steady = true;
-
-  static time_point now() {
-#ifdef PPROX_MODEL_CHECK
-    if (det::managed()) {
-      return time_point(std::chrono::duration_cast<duration>(
-          std::chrono::milliseconds(det::now_ms())));
-    }
-#endif
-    return std::chrono::steady_clock::now();
-  }
-};
-
-inline std::chrono::steady_clock::time_point CondVar::SteadyNow() {
-  return SteadyClock::now();
-}
 
 // Sequentially-consistent-by-default atomic. Memory-order arguments are
-// accepted and forwarded in normal builds; under exploration every op is a
+// forwarded to the std atomic; under exploration every op is also a
 // schedule point and executes seq-cst (the scheduler serialises managed
 // threads anyway, so weaker orders add no behaviours it can see).
 template <typename T>
@@ -571,46 +472,32 @@ class Atomic {
   Atomic(const Atomic&) = delete;
   Atomic& operator=(const Atomic&) = delete;
 
-#ifdef PPROX_MODEL_CHECK
-#define PPROX_ATOMIC_POINT(kind)                                      \
-  do {                                                                \
-    if (det::managed())                                               \
-      det::atomic_op(&rec_, det::OpKind::kind, det::loc_of(sloc));    \
-  } while (0)
-#define PPROX_ATOMIC_ARGS PPROX_SYNC_LOC
-#else
-#define PPROX_ATOMIC_POINT(kind) \
-  do {                           \
-  } while (0)
-#define PPROX_ATOMIC_ARGS int = 0
-#endif
-
   T load(std::memory_order order = std::memory_order_seq_cst,
-         PPROX_ATOMIC_ARGS) const noexcept {
-    PPROX_ATOMIC_POINT(kAtomicLoad);
+         PPROX_SYNC_LOC) const noexcept {
+    schedule_point(det::OpKind::kAtomicLoad, sloc);
     return real_.load(order);
   }
   void store(T desired, std::memory_order order = std::memory_order_seq_cst,
-             PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicStore);
+             PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicStore, sloc);
     real_.store(desired, order);
   }
   T exchange(T desired, std::memory_order order = std::memory_order_seq_cst,
-             PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicRmw);
+             PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicRmw, sloc);
     return real_.exchange(desired, order);
   }
   bool compare_exchange_weak(T& expected, T desired,
                              std::memory_order order = std::memory_order_seq_cst,
-                             PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicRmw);
+                             PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicRmw, sloc);
     return real_.compare_exchange_weak(expected, desired, order,
                                        load_order(order));
   }
   bool compare_exchange_strong(T& expected, T desired,
                                std::memory_order order = std::memory_order_seq_cst,
-                               PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicRmw);
+                               PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicRmw, sloc);
     return real_.compare_exchange_strong(expected, desired, order,
                                          load_order(order));
   }
@@ -619,23 +506,27 @@ class Atomic {
             typename = std::enable_if_t<std::is_integral_v<U> &&
                                         !std::is_same_v<U, bool>>>
   T fetch_add(T arg, std::memory_order order = std::memory_order_seq_cst,
-              PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicRmw);
+              PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicRmw, sloc);
     return real_.fetch_add(arg, order);
   }
   template <typename U = T,
             typename = std::enable_if_t<std::is_integral_v<U> &&
                                         !std::is_same_v<U, bool>>>
   T fetch_sub(T arg, std::memory_order order = std::memory_order_seq_cst,
-              PPROX_ATOMIC_ARGS) noexcept {
-    PPROX_ATOMIC_POINT(kAtomicRmw);
+              PPROX_SYNC_LOC) noexcept {
+    schedule_point(det::OpKind::kAtomicRmw, sloc);
     return real_.fetch_sub(arg, order);
   }
 
-#undef PPROX_ATOMIC_POINT
-#undef PPROX_ATOMIC_ARGS
-
  private:
+  void schedule_point(det::OpKind kind,
+                      const std::source_location& sloc) const noexcept {
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::atomic_op(&rec_, kind, det::loc_of(sloc));
+    }
+  }
+
   // Failure order for CAS: drop the release part of the success order.
   static constexpr std::memory_order load_order(std::memory_order order) {
     switch (order) {
@@ -649,9 +540,7 @@ class Atomic {
   }
 
   std::atomic<T> real_{};
-#ifdef PPROX_MODEL_CHECK
-  mutable det::ObjRecord rec_;
-#endif
+  [[no_unique_address]] mutable det::ObjRecord rec_;
 };
 
 // Joinable thread with a double-join contract check; under exploration the
@@ -660,35 +549,28 @@ class DetThread {
  public:
   DetThread() = default;
 
-#ifdef PPROX_MODEL_CHECK
   explicit DetThread(std::function<void()> fn, const char* name = "thread",
                      PPROX_SYNC_LOC) {
-    if (det::managed()) {
-      det_id_ = det::thread_create(name, det::loc_of(sloc));
-      const int id = det_id_;
-      os_ = std::thread([fn = std::move(fn), id] {
-        det::thread_start(id);
-        fn();
-        det::thread_exit(id);
-      });
-      return;
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) {
+        det::thread_create(&det_, name, det::loc_of(sloc));
+        os_ = std::thread([fn = std::move(fn), self = det_] {
+          det::thread_start(self);
+          fn();
+          det::thread_exit(self);
+        });
+        return;
+      }
     }
     os_ = std::thread(std::move(fn));
   }
-#else
-  explicit DetThread(std::function<void()> fn, const char* = "thread")
-      : os_(std::move(fn)) {}
-#endif
 
   DetThread(DetThread&& other) noexcept = default;
   DetThread& operator=(DetThread&& other) noexcept {
     PPROX_SYNC_ASSERT(!os_.joinable(),
                       "DetThread assigned over a joinable thread");
     os_ = std::move(other.os_);
-#ifdef PPROX_MODEL_CHECK
-    det_id_ = other.det_id_;
-    other.det_id_ = -1;
-#endif
+    det_ = std::exchange(other.det_, {});
     return *this;
   }
   DetThread(const DetThread&) = delete;
@@ -702,30 +584,19 @@ class DetThread {
 
   bool joinable() const noexcept { return os_.joinable(); }
 
-#ifdef PPROX_MODEL_CHECK
   void join(PPROX_SYNC_LOC) {
     PPROX_SYNC_ASSERT(os_.joinable(), "DetThread joined twice");
-    if (det_id_ >= 0 && det::managed()) {
-      det::thread_join(det_id_, det::loc_of(sloc));
+    if constexpr (det::kModelCheck) {
+      if (det::managed()) det::thread_join(det_, det::loc_of(sloc));
     }
     os_.join();
   }
-#else
-  void join() {
-    PPROX_SYNC_ASSERT(os_.joinable(), "DetThread joined twice");
-    os_.join();
-  }
-#endif
 
  private:
   std::thread os_;
-#ifdef PPROX_MODEL_CHECK
-  int det_id_ = -1;
-#endif
+  [[no_unique_address]] det::ThreadRecord det_;
 };
 
-#ifdef PPROX_MODEL_CHECK
 #undef PPROX_SYNC_LOC
-#endif
 
 }  // namespace pprox

@@ -42,7 +42,7 @@ Status IaLogic::transform_post_request(IaRequestSlot& slot) const {
     // PPROX-DECLASSIFY: §6.3 item-pseudonymization opt-out — the operator
     // chose a semantics-aware LRS; item ids (never user ids — the domain
     // constraint enforces it) are forwarded in the clear.
-    item = taint::declassify_for_lrs(std::move(id.value()));
+    item = json::escape(taint::declassify_for_lrs(std::move(id.value())));
   }
   // Optional payload (rating, weight, ...): decrypt and forward in usable
   // form — the LRS needs the actual value, and it carries no identifier.

@@ -3,7 +3,7 @@
 // Negative-compile case: pprox::Mutex is pinned to its address. Copying or
 // moving a mutex would silently fork (or orphan) its wait queue — and under
 // -DPPROX_MODEL_CHECK would split the det::ObjRecord identity the scheduler
-// keys sleep sets on — so both operations are deleted in both flavours.
+// keys sleep sets on — so both operations are deleted.
 #include "common/sync.hpp"
 
 namespace pprox {

@@ -162,14 +162,24 @@ TEST_F(LogicTest, GetResponsesAreConstantSize) {
 }
 
 TEST_F(LogicTest, ItemPseudonymizationOptOut) {
-  // §6.3: disabled pseudonymization forwards the item in the clear.
-  const auto request = client_->build_post_request("erin", "movie-9");
-  const auto body1 = one_slot::ua_request(*ua_, request.value().body);
-  const auto body2 = one_slot::ia_post(*ia_, body1.value(), false);
-  ASSERT_TRUE(body2.ok());
-  EXPECT_EQ(*json::get_string_field(body2.value(), "item"), "movie-9");
-  // The user remains pseudonymized either way.
-  EXPECT_EQ(body2.value().find("erin"), std::string::npos);
+  // §6.3: disabled pseudonymization forwards the item in the clear, escaped
+  // into the LRS-bound body: a quote in the id must neither break the JSON
+  // nor let the client forge a field the LRS trains on.
+  for (const std::string item : {"movie-9", "a\"b", "x\",\"payload\":\"5"}) {
+    SCOPED_TRACE(item);
+    const auto request = client_->build_post_request("erin", item);
+    const auto body1 = one_slot::ua_request(*ua_, request.value().body);
+    const auto body2 = one_slot::ia_post(*ia_, body1.value(), false);
+    ASSERT_TRUE(body2.ok());
+    const auto doc = json::parse(body2.value());
+    ASSERT_TRUE(doc.ok()) << body2.value();
+    const json::JsonValue* read = doc.value().find("item");
+    ASSERT_TRUE(read != nullptr && read->is_string()) << body2.value();
+    EXPECT_EQ(read->as_string(), item);
+    EXPECT_EQ(doc.value().find("payload"), nullptr) << body2.value();
+    // The user remains pseudonymized either way.
+    EXPECT_EQ(body2.value().find("erin"), std::string::npos);
+  }
 }
 
 TEST_F(LogicTest, WrongLayerKeysCannotDecrypt) {

@@ -1,19 +1,37 @@
-// Unit tests for the sync facade (common/sync.hpp) in its normal,
-// passthrough flavour: the pprox::Mutex / CondVar / Atomic / DetThread
-// wrappers every src/ component must use (enforced by the raw-sync lint
-// rule) so that the -DPPROX_MODEL_CHECK build can interpose a deterministic
-// scheduler on exactly the same call sites (DESIGN.md §9). These tests pin
-// the passthrough semantics: the wrappers must behave like the std
-// primitives they wrap, plus the lifecycle contract checks.
+// Unit tests for the sync facade (common/sync.hpp): the pprox::Mutex /
+// CondVar / Atomic / DetThread wrappers every src/ component must use
+// (enforced by the raw-sync lint rule) so that a -DPPROX_MODEL_CHECK build
+// can interpose the deterministic scheduler on exactly the same call sites
+// (DESIGN.md §9). Threads these tests start are unmanaged, so they take the
+// std path in every build: the wrappers must behave like the std primitives
+// they wrap, plus the lifecycle contract checks. In normal builds the
+// wrappers must also cost no space: the scheduler records are empty.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
+#include <shared_mutex>
+#include <thread>
 #include <vector>
 
 #include "common/sync.hpp"
 
 namespace pprox {
 namespace {
+
+static_assert(det::kModelCheck || sizeof(Mutex) == sizeof(std::mutex));
+static_assert(det::kModelCheck ||
+              sizeof(SharedMutex) == sizeof(std::shared_mutex));
+static_assert(det::kModelCheck ||
+              sizeof(CondVar) == sizeof(std::condition_variable_any));
+static_assert(det::kModelCheck || sizeof(Atomic<std::uint64_t>) ==
+                                      sizeof(std::atomic<std::uint64_t>));
+static_assert(det::kModelCheck ||
+              sizeof(Atomic<bool>) == sizeof(std::atomic<bool>));
+static_assert(det::kModelCheck || sizeof(DetThread) == sizeof(std::thread));
 
 TEST(Sync, MutexProvidesExclusion) {
   Mutex mu;

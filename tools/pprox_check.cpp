@@ -3,10 +3,12 @@
 //
 // Each --model drives real pprox code (or, for rotation, a faithful
 // miniature of Deployment::rotate) under the pprox::det cooperative
-// scheduler from src/common/sync.{hpp,cpp}: bounded exhaustive DFS with
-// sleep-set pruning and a preemption bound, or PCT-style randomised
-// priorities. Timed condition-variable waits run on a virtual clock, so
-// timer-vs-size races are explored systematically instead of slept for.
+// scheduler: the primitives of src/common/sync.hpp call its schedule-point
+// hooks, and det_explorer.{hpp,cpp} beside this file explore the schedules —
+// bounded exhaustive DFS with sleep-set pruning and a preemption bound, or
+// PCT-style randomised priorities. Timed condition-variable waits run on a
+// virtual clock, so timer-vs-size races are explored systematically instead
+// of slept for.
 //
 // On an invariant violation or deadlock the scheduler prints a numbered
 // interleaving trace with source locations and a `--replay t0,t1,...`
@@ -35,6 +37,7 @@
 
 #include "common/sync.hpp"
 #include "concurrent/thread_pool.hpp"
+#include "det_explorer.hpp"
 #include "pprox/shuffle.hpp"
 
 namespace {
@@ -452,8 +455,8 @@ void model_lockorder() {
         "thread-1's mu_a -> mu_b; pprox_lint --locks reports this shape as "
         "PPROX-LOCK-ORDER (key lock-order|mu_a->mu_b->mu_a) with both "
         "acquisition chains\n");
-    // The deadlock path ends in std::_Exit (sync.cpp), which does not
-    // flush stdio: flush now or the banner is lost exactly when it matters.
+    // The deadlock path ends in std::_Exit (det_explorer.cpp), which does
+    // not flush stdio: flush now or the banner is lost exactly when it matters.
     std::fflush(stdout);
     return true;
   }();

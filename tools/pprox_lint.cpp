@@ -615,8 +615,7 @@ void scan_file(const cg::Source& src, const cg::Suppressions& sup, bool flow,
     // tests, benches, and tools may drive threads however they like — and
     // the sync layer itself is exempt (it wraps these by definition).
     if (generic.find("src/") != std::string::npos &&
-        generic.find("common/sync.hpp") == std::string::npos &&
-        generic.find("common/sync.cpp") == std::string::npos) {
+        generic.find("common/sync.hpp") == std::string::npos) {
       static const char* const kRawSync[] = {
           // Longer names first so the break below reports the exact token.
           "std::recursive_timed_mutex", "std::recursive_mutex",

@@ -145,13 +145,12 @@ const std::set<std::string> kNotACall = {
     "PPROX_ECALL_BOUNDARY",
 };
 
-/// common/sync.hpp (and the det-routed twin) implement the primitives: the
-/// raw .lock()/.unlock() inside them is the one legitimate site, and their
-/// bodies would otherwise self-flag every rule. Their functions stay in the
-/// graph (so calls resolve) but contribute no events.
+/// common/sync.hpp implements the primitives: the raw .lock()/.unlock()
+/// inside it is the one legitimate site, and its bodies would otherwise
+/// self-flag every rule. Its functions stay in the graph (so calls resolve)
+/// but contribute no events.
 bool is_sync_impl_file(const std::string& path) {
-  const std::string name = fs::path(path).filename().string();
-  return name == "sync.hpp" || name == "sync.cpp";
+  return fs::path(path).filename() == "sync.hpp";
 }
 
 // ---------------------------------------------------------------------------
